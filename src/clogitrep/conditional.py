@@ -1,17 +1,23 @@
 """Exact conditional-likelihood kernels, all carried in log space.
 
-Two normalizers appear:
+One normalizer serves every conditional likelihood: the R-replicated
+g(eta, R, T), the coefficient of z^(R(K-T)) in prod_k (z + xi_k)^R with
+xi_k = exp(eta_k).  At R = 1 it is the permutation-set sum over binary
+outcome vectors with total T.
 
-* the permutation-set sum over binary outcome vectors with a fixed total,
-  computed by the elementary symmetric polynomial recursion
-  e_t^(k) = e_t^(k-1) + xi_k * e_{t-1}^(k-1); and
+By Cauchy's formula on the saddle circle |z| = exp(-tau), with tau the
+profile root of the cluster,
 
-* its R-replicated generalization g(eta, R, T), the coefficient of
-  z^(R(K-T)) in prod_k (z + xi_k)^R, computed by a log-space convolution
-  over counts r_k in {0..R} with binomial weights from log-gamma.
+    g = exp(R u(0)) * (1/2pi) int exp(R (u(theta) - u(0))) dtheta,
+    u(theta) = -tau T - i (K-T) theta + sum_k log(e^(i theta) + e^(eta_k + tau)).
 
-Both return the gradient in eta alongside the value; for the replicated
-normalizer the gradient entries are the tilted-measure expectations E[r_k].
+The integrand is a trigonometric polynomial whose frequencies lie in
+[-R(K-T), RT], so the periodic trapezoid rule on N = RK + 1 nodes
+theta_n = 2 pi n / N is exact up to rounding.  The modulus of the integrand
+peaks at theta = 0, where it is 1, so no term overflows.  The same nodes
+give the gradient in eta, the tilted-measure expectations
+E[r_k] = R Re sum_n w_n xi~_k / (e^(i theta_n) + xi~_k) / Re sum_n w_n,
+with w_n the integrand and xi~_k = exp(eta_k + tau).
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
+from . import profile
 from .data import DataError, Dataset
 
 __all__ = [
@@ -34,6 +40,8 @@ __all__ = [
     "DEFAULT_STATE_CAP",
 ]
 
+# Largest R*K accepted: a cluster takes N = RK + 1 quadrature nodes, of which
+# the kernel evaluates N/2 + 1, holding about N*K/2 complex values.
 DEFAULT_STATE_CAP = 10**6
 
 
@@ -45,59 +53,68 @@ class LogNormalizer:
     grad_eta: np.ndarray
 
 
-# ---------------------------------------------------------------------------
-# permutation-set normalizer (elementary symmetric recursion)
-# ---------------------------------------------------------------------------
+def _log_g_batch(eta: np.ndarray, R: int, T, with_grad: bool = True):
+    """Batched replicated normalizer over same-size discordant clusters.
 
-def _esp_forward(eta: np.ndarray, t_max: int) -> np.ndarray:
-    """Tables F[k, :, t] = log e_t(xi_1..xi_k) for a batch of eta rows."""
-    n, K = eta.shape
-    F = np.full((K + 1, n, t_max + 1), -np.inf)
-    F[0, :, 0] = 0.0
-    for k in range(1, K + 1):
-        prev = F[k - 1]
-        F[k, :, 0] = 0.0
-        F[k, :, 1:] = np.logaddexp(prev[:, 1:],
-                                   prev[:, :-1] + eta[:, k - 1, None])
-    return F
-
-
-def _esp_backward(eta: np.ndarray, t_max: int) -> np.ndarray:
-    """Tables B[k, :, t] = log e_t(xi_k..xi_K); B[K+1] is the empty product."""
-    n, K = eta.shape
-    B = np.full((K + 2, n, t_max + 1), -np.inf)
-    B[K + 1, :, 0] = 0.0
-    for k in range(K, 0, -1):
-        nxt = B[k + 1]
-        B[k, :, 0] = 0.0
-        B[k, :, 1:] = np.logaddexp(nxt[:, 1:],
-                                   nxt[:, :-1] + eta[:, k - 1, None])
-    return B
-
-
-def _perm_normalizer_batch(eta: np.ndarray, T: int, with_grad: bool = True):
-    """Batched permutation normalizer over same-(K, T) clusters."""
+    eta is (n, K); T is an int or (n,) array with 1 <= T <= K-1.  Returns
+    (value (n,), grad (n, K) or None).  grad[:, k] = E[r_k] under the
+    binomially weighted tilted measure; entries lie in [0, R] and sum to
+    R*T.
+    """
     eta = np.asarray(eta, dtype=float)
     n, K = eta.shape
+    T = np.broadcast_to(np.asarray(T), (n,))
+    if R * K > DEFAULT_STATE_CAP:
+        raise DataError(f"state space R*K = {R * K} exceeds cap "
+                        f"{DEFAULT_STATE_CAP}")
+    N = R * K + 1
+    tau = profile._tau_batch(eta, T)
+    s = eta + tau[:, None]
+    pos = s > 0.0
+    a = np.exp(-np.abs(s))
+    # u(0) = -tau T + sum_k log(1 + e^s_k), with the tau of each positive s_k
+    # cancelled exactly against -tau T
+    u0 = ((np.where(pos, eta, 0.0).sum(axis=1) + (pos.sum(axis=1) - T) * tau)
+          + np.log1p(a).sum(axis=1))
+    # the integrand at -theta is the conjugate of that at theta, so the
+    # nodes past N/2 are folded onto their mirror images by a weight of 2
+    nodes = np.arange(N // 2 + 1)
+    fold = np.where((nodes == 0) | (2 * nodes == N), 1.0, 2.0)
+    c = np.exp(2j * np.pi / N * nodes)[None, :, None]
+    # e^(i theta) + e^s, divided by e^s where s > 0 so that e^s is never formed
+    a, pos = a[:, None, :], pos[:, None, :]
+    d = np.where(pos, 1.0 + a * c, c + a)
+    log_d = np.log(d)
+    # R (u(theta_n) - u(0)); the phase R (K-T) theta_n is reduced mod 2 pi
+    # in integers
+    shift = (R * (K - T)[:, None] * nodes[None, :]) % N
+    w = np.exp(R * (log_d.sum(axis=2) - log_d[:, :1, :].real.sum(axis=2))
+               - 2j * np.pi / N * shift)
+    w *= fold
+    total = w.real.sum(axis=1)
+    value = R * u0 + np.log(total / N)
+    if not with_grad:
+        return value, None
+    ratio = np.where(pos, 1.0, a) / d
+    grad = R * np.einsum("nm,nmk->nk", w, ratio).real / total[:, None]
+    return value, grad
+
+
+def log_g(eta, R: int, T: int) -> LogNormalizer:
+    """Log of the replicated normalizer g(eta, R, T) and its eta-gradient."""
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    R, T, K = int(R), int(T), eta.shape[0]
+    if R < 1:
+        raise DataError("replication count R must be >= 1")
     if not 0 <= T <= K:
         raise DataError(f"outcome sum {T} outside [0, {K}]")
     if T == 0:
-        return np.zeros(n), np.zeros((n, K))
+        return LogNormalizer(value=0.0, grad_eta=np.zeros(K))
     if T == K:
-        return eta.sum(axis=1), np.ones((n, K))
-    F = _esp_forward(eta, T)
-    value = F[K, :, T]
-    if not with_grad:
-        return value, None
-    B = _esp_backward(eta, T)
-    grad = np.empty((n, K))
-    for k in range(1, K + 1):
-        # log e_{T-1} of the leave-one-out set, split before/after element k
-        combo = F[k - 1][:, : T] + B[k + 1][:, T - 1 :: -1]
-        with np.errstate(divide="ignore"):
-            loo = logsumexp(combo, axis=1)
-        grad[:, k - 1] = np.exp(eta[:, k - 1] + loo - value)
-    return value, grad
+        return LogNormalizer(value=R * float(eta.sum()),
+                             grad_eta=np.full(K, float(R)))
+    value, grad = _log_g_batch(eta[None, :], R, T)
+    return LogNormalizer(value=float(value[0]), grad_eta=grad[0])
 
 
 def log_perm_normalizer(eta, T: int) -> LogNormalizer:
@@ -106,93 +123,7 @@ def log_perm_normalizer(eta, T: int) -> LogNormalizer:
     grad_eta[k] is the conditional probability that individual k's outcome
     is 1 given the total; entries lie in [0, 1] and sum to T.
     """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    value, grad = _perm_normalizer_batch(eta[None, :], int(T))
-    return LogNormalizer(value=float(value[0]), grad_eta=grad[0])
-
-
-# ---------------------------------------------------------------------------
-# replicated normalizer g (binomial convolution DP)
-# ---------------------------------------------------------------------------
-
-def _log_binom_row(R: int) -> np.ndarray:
-    r = np.arange(R + 1)
-    return gammaln(R + 1) - gammaln(r + 1) - gammaln(R - r + 1)
-
-
-def _dp_step(prev: np.ndarray, w: np.ndarray, S: int) -> np.ndarray:
-    """One convolution step: out[s] = logsumexp_r prev[s - r] + w[:, r]."""
-    R1 = w.shape[1]
-    s = np.arange(S)[:, None]
-    r = np.arange(R1)[None, :]
-    idx = s - r
-    valid = idx >= 0
-    terms = prev[:, np.clip(idx, 0, S - 1)] + w[:, None, :]
-    terms = np.where(valid[None, :, :], terms, -np.inf)
-    with np.errstate(divide="ignore"):
-        return logsumexp(terms, axis=2)
-
-
-def _log_g_batch(eta: np.ndarray, R: int, T: int, with_grad: bool = True,
-                 state_cap: int = DEFAULT_STATE_CAP):
-    """Batched replicated normalizer over same-(K, T) clusters.
-
-    Returns (value (n,), grad (n, K) or None).  grad[:, k] = E[r_k] under
-    the binomially weighted tilted measure; entries lie in [0, R] and sum
-    to R*T.
-    """
-    eta = np.asarray(eta, dtype=float)
-    n, K = eta.shape
-    if R < 1:
-        raise DataError("replication count R must be >= 1")
-    if not 0 <= T <= K:
-        raise DataError(f"outcome sum {T} outside [0, {K}]")
-    if R * K > state_cap:
-        raise DataError(f"state space R*K = {R * K} exceeds cap {state_cap}")
-    if T == 0:
-        return np.zeros(n), np.zeros((n, K))
-    if T == K:
-        return R * eta.sum(axis=1), np.full((n, K), float(R))
-    S = R * T + 1
-    lb = _log_binom_row(R)
-    # w[:, k, r] = log C(R, r) + r * eta_k
-    w = lb[None, None, :] + np.arange(R + 1)[None, None, :] * eta[:, :, None]
-    start = np.full((n, S), -np.inf)
-    start[:, 0] = 0.0
-    forward = [start]
-    for k in range(K):
-        forward.append(_dp_step(forward[-1], w[:, k, :], S))
-    value = forward[K][:, R * T]
-    if not with_grad:
-        return value, None
-    backward = [None] * (K + 2)
-    end = np.full((n, S), -np.inf)
-    end[:, 0] = 0.0
-    backward[K + 1] = end
-    for k in range(K, 0, -1):
-        backward[k] = _dp_step(backward[k + 1], w[:, k - 1, :], S)
-    grad = np.empty((n, K))
-    s = np.arange(S)[:, None]
-    r = np.arange(R + 1)[None, :]
-    idx = R * T - s - r
-    valid = (idx >= 0) & (idx <= S - 1)
-    idx_c = np.clip(idx, 0, S - 1)
-    for k in range(1, K + 1):
-        terms = (forward[k - 1][:, :, None]
-                 + backward[k + 1][:, idx_c])
-        terms = np.where(valid[None, :, :], terms, -np.inf)
-        with np.errstate(divide="ignore"):
-            m = logsumexp(terms, axis=1) + w[:, k - 1, :]
-        p = np.exp(m - value[:, None])
-        grad[:, k - 1] = p @ np.arange(R + 1)
-    return value, grad
-
-
-def log_g(eta, R: int, T: int, state_cap: int = DEFAULT_STATE_CAP) -> LogNormalizer:
-    """Log of the replicated normalizer g(eta, R, T) and its eta-gradient."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    value, grad = _log_g_batch(eta[None, :], int(R), int(T), state_cap=state_cap)
-    return LogNormalizer(value=float(value[0]), grad_eta=grad[0])
+    return log_g(eta, 1, T)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +131,15 @@ def log_g(eta, R: int, T: int, state_cap: int = DEFAULT_STATE_CAP) -> LogNormali
 # ---------------------------------------------------------------------------
 
 def _grouped_eta(dataset: Dataset, beta):
-    """Cluster indices and stacked eta, grouped by (cluster size, outcome sum)."""
+    """Cluster indices, stacked eta and outcome sums, grouped by cluster size."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for j, c in enumerate(dataset.clusters):
-        groups.setdefault((c.size, c.outcome_sum), []).append(j)
-    for (K, T), idx in groups.items():
+        groups.setdefault(c.size, []).append(j)
+    for idx in groups.values():
         eta = np.stack([dataset.clusters[j].linear_predictors(beta)
                         for j in idx])
+        T = np.array([dataset.clusters[j].outcome_sum for j in idx])
         yield idx, eta, T
 
 
@@ -219,44 +151,32 @@ def _linear_part(dataset: Dataset, beta) -> float:
 
 def clr_avg_loglik(dataset: Dataset, beta) -> float:
     """Average conditional log-likelihood given each cluster's outcome sum."""
-    total = _linear_part(dataset, beta)
-    for _, eta, T in _grouped_eta(dataset, beta):
-        value, _ = _perm_normalizer_batch(eta, T, with_grad=False)
-        total -= value.sum()
-    return total / dataset.n_individuals
+    return clr_rep_avg_loglik(dataset, 1, beta)
 
 
 def clr_score(dataset: Dataset, beta) -> np.ndarray:
     """Gradient of clr_avg_loglik."""
-    score = np.zeros(dataset.n_covariates)
-    for idx, eta, T in _grouped_eta(dataset, beta):
-        _, grad = _perm_normalizer_batch(eta, T)
-        for row, j in enumerate(idx):
-            c = dataset.clusters[j]
-            score += (c.outcomes - grad[row]) @ c.covariates
-    return score / dataset.n_individuals
+    return clr_rep_score(dataset, 1, beta)
 
 
-def clr_rep_avg_loglik(dataset: Dataset, R: int, beta,
-                       state_cap: int = DEFAULT_STATE_CAP) -> float:
+def clr_rep_avg_loglik(dataset: Dataset, R: int, beta) -> float:
     """Average conditional log-likelihood with every data point replicated R times."""
     if R < 1:
         raise DataError("replication count R must be >= 1")
     total = R * _linear_part(dataset, beta)
     for _, eta, T in _grouped_eta(dataset, beta):
-        value, _ = _log_g_batch(eta, R, T, with_grad=False, state_cap=state_cap)
+        value, _ = _log_g_batch(eta, R, T, with_grad=False)
         total -= value.sum()
     return total / (R * dataset.n_individuals)
 
 
-def clr_rep_score(dataset: Dataset, R: int, beta,
-                  state_cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
+def clr_rep_score(dataset: Dataset, R: int, beta) -> np.ndarray:
     """Gradient of clr_rep_avg_loglik."""
     if R < 1:
         raise DataError("replication count R must be >= 1")
     score = np.zeros(dataset.n_covariates)
     for idx, eta, T in _grouped_eta(dataset, beta):
-        _, grad = _log_g_batch(eta, R, T, state_cap=state_cap)
+        _, grad = _log_g_batch(eta, R, T)
         for row, j in enumerate(idx):
             c = dataset.clusters[j]
             score += (R * c.outcomes - grad[row]) @ c.covariates

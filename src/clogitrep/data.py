@@ -36,17 +36,18 @@ class Cluster:
 
     def __post_init__(self):
         X = np.asarray(self.covariates, dtype=float)
-        y = np.asarray(self.outcomes, dtype=int)
+        y = np.asarray(self.outcomes)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise DataError("covariates must be a K x P matrix with K, P >= 1")
         if y.shape != (X.shape[0],):
             raise DataError("outcomes length must match covariate rows")
         if not np.all(np.isfinite(X)):
             raise DataError("covariate entries must be finite")
+        # checked before the cast to int, which would turn 0.7 into 0
         if not np.all((y == 0) | (y == 1)):
             raise DataError("outcomes must be 0 or 1")
         object.__setattr__(self, "covariates", X)
-        object.__setattr__(self, "outcomes", y)
+        object.__setattr__(self, "outcomes", y.astype(int))
 
     @property
     def size(self) -> int:

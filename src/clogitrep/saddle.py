@@ -5,6 +5,10 @@ Cauchy's differentiation formula on the circle |z| = rho it equals
 (1/2pi) int exp(R u(theta)) dtheta once rho is fixed at exp(-tau), the
 saddle choice that kills the phase derivative at theta = 0.  The growth
 rate (1/R) log g then converges to the real constant u(0).
+
+`conditional.log_g` evaluates this integral exactly with the trapezoid rule
+on N = RK + 1 nodes.  `contour_integral_g` is an independent reference for
+it: an oversampled trapezoid rule that checks itself by doubling its nodes.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .conditional import log_g
 from .data import Cluster, DataError
@@ -100,28 +105,25 @@ def rate_limit_check(eta, T: int, r_grid,
                      quadrature_max_r: int = 0) -> SaddleDiagnostics:
     """Exact growth rates (1/R) log g over an R grid against the limit u(0).
 
-    Optionally cross-checks the DP value against the contour integral for
+    The exact log g comes from the saddle-circle kernel, `conditional.log_g`.
+    Optionally cross-checks it against the oversampled contour integral for
     R <= quadrature_max_r, reporting relative errors.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    T = int(T)
     r_grid = [int(r) for r in r_grid]
     if any(r < 1 for r in r_grid) or sorted(r_grid) != r_grid:
         raise ValueError("r_grid must be ascending with entries >= 1")
-    tau = _tau_of(eta, int(T))
-    u0 = float(np.real(u_of_theta(eta, T, 0.0)))
-    h = 1e-6
-    up0 = (u_of_theta(eta, T, h) - u_of_theta(eta, T, -h)) / (2.0 * h)
-    rates, gaps = [], []
-    for R in r_grid:
-        rate = log_g(eta, R, int(T)).value / R
-        rates.append(rate)
-        gaps.append(abs(rate - u0))
-    quad = []
-    for R in r_grid:
-        if R <= quadrature_max_r:
-            q = contour_integral_g(eta, T, R)
-            dp = log_g(eta, R, int(T)).value
-            quad.append((R, abs(q - dp) / max(1.0, abs(dp))))
+    tau = _tau_of(eta, T)
+    s = eta + tau
+    u0 = float(-tau * T + np.logaddexp(0.0, s).sum())
+    # u'(0) = i (T - sum_k expit(eta_k + tau)): the profile root's residual
+    up0 = float(T - expit(s).sum())
+    values = [log_g(eta, R, T).value for R in r_grid]
+    rates = [v / R for v, R in zip(values, r_grid)]
+    gaps = [abs(rate - u0) for rate in rates]
+    quad = [(R, abs(contour_integral_g(eta, T, R) - v) / max(1.0, abs(v)))
+            for R, v in zip(r_grid, values) if R <= quadrature_max_r]
     return SaddleDiagnostics(tau=tau, u0=u0, u_prime0_abs=abs(up0),
                              r_grid=r_grid, exact_rates=rates, gaps=gaps,
                              quadrature_vs_dp=quad)

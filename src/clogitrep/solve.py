@@ -107,9 +107,10 @@ def _maximize(objective, gradient, p: int, cfg: SolverConfig,
                 break
             t *= cfg.step_shrink
             if t < 1e-14:
-                # gradient so flat no step helps; accept the point as-is
-                x_new, f_new = x, f
-                break
+                # x, and so the next search, would be unchanged
+                raise SolverError("line search stalled: no step along the "
+                                  "search direction increased the objective "
+                                  f"(|g|inf = {gnorm:.3g})")
         x, f = x_new, f_new
         trace.append(f)
         if np.abs(x).max() > cfg.divergence_norm:

@@ -11,6 +11,7 @@ from clogitrep.conditional import (clr_avg_loglik, clr_rep_avg_loglik,
 from clogitrep.data import Cluster, DataError, screen_dataset
 from clogitrep.profile import profile_loglik
 from conftest import random_cluster_eta, random_matched_pairs
+from dp_oracle import log_g_dp
 
 
 def log_comb(n, k):
@@ -137,6 +138,41 @@ class TestLogG:
     def test_state_cap(self):
         with pytest.raises(DataError, match="cap"):
             log_g(np.zeros(3), 10**6, 1)
+
+
+def _wide_eta(K):
+    eta = np.zeros(K)
+    eta[:2] = (800.0, -800.0)
+    return eta
+
+
+class TestKernelVsDP:
+    """The saddle-circle kernel against the binomial-convolution DP."""
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("R", [1, 10, 50, 200])
+    def test_matches_dp(self, R, K):
+        rng = np.random.default_rng(100 * R + K)
+        for T in range(1, K):
+            eta = np.vstack([rng.normal(scale=1.5, size=(4, K)),
+                             _wide_eta(K)])
+            want_value, want_grad = log_g_dp(eta, R, T)
+            for row, w_value, w_grad in zip(eta, want_value, want_grad):
+                got = log_g(row, R, T)
+                assert abs(got.value - w_value) <= 1e-10 * max(1.0,
+                                                               abs(w_value))
+                np.testing.assert_allclose(got.grad_eta, w_grad, rtol=0,
+                                           atol=1e-8 * R)
+
+    @pytest.mark.parametrize("beta", [1e4, -1e4])
+    @pytest.mark.parametrize("R", [1, 50])
+    def test_finite_on_separated_pairs(self, R, beta):
+        # the separated data of test_solve.py's test_separation_reported, at
+        # the default divergence_norm
+        X = np.array([[1.0], [0.0]])
+        ds = screen_dataset([Cluster(X, np.array([1, 0])) for _ in range(5)])
+        assert np.isfinite(clr_rep_avg_loglik(ds, R, [beta]))
+        assert np.all(np.isfinite(clr_rep_score(ds, R, [beta])))
 
 
 class TestClrLoglik:

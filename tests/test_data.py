@@ -17,6 +17,10 @@ class TestCluster:
         with pytest.raises(DataError):
             make_cluster([0, 2])
 
+    def test_rejects_fractional(self):
+        with pytest.raises(DataError):
+            Cluster(np.zeros((2, 1)), [0.7, 1.0])
+
     def test_rejects_nonfinite_covariate(self):
         with pytest.raises(DataError):
             Cluster(np.array([[np.inf], [0.0]]), np.array([1, 0]))

@@ -6,8 +6,8 @@ import pytest
 from clogitrep.conditional import clr_rep_score, clr_score
 from clogitrep.data import Cluster, DataError, screen_dataset
 from clogitrep.profile import olr_profile_score
-from clogitrep.solve import (SolverConfig, SolverError, solve_cmle,
-                             solve_cmle_replicated, solve_mle,
+from clogitrep.solve import (SolverConfig, SolverError, _maximize,
+                             solve_cmle, solve_cmle_replicated, solve_mle,
                              verify_1K_identity, verify_pair_identity)
 from conftest import random_matched_pairs, random_one_to_k
 
@@ -51,6 +51,23 @@ class TestSolveMle:
                              for _ in range(5)])
         with pytest.raises(SolverError):
             solve_mle(ds, SolverConfig(divergence_norm=20.0))
+
+
+def test_line_search_stall_raises_at_once():
+    # the gradient does not match the objective, so no step along it helps
+    calls = {"objective": 0, "gradient": 0}
+
+    def objective(x):
+        calls["objective"] += 1
+        return -float(x @ x)
+
+    def gradient(x):
+        calls["gradient"] += 1
+        return np.ones(2)
+
+    with pytest.raises(SolverError, match="line search stalled"):
+        _maximize(objective, gradient, 2, SolverConfig())
+    assert calls["objective"] + calls["gradient"] < 100
 
 
 class TestSolveCmle:
