@@ -17,7 +17,8 @@ theta_n = 2 pi n / N is exact up to rounding.  The modulus of the integrand
 peaks at theta = 0, where it is 1, so no term overflows.  The same nodes
 give the gradient in eta, the tilted-measure expectations
 E[r_k] = R Re sum_n w_n xi~_k / (e^(i theta_n) + xi~_k) / Re sum_n w_n,
-with w_n the integrand and xi~_k = exp(eta_k + tau).
+with w_n the integrand and xi~_k = exp(eta_k + tau), and the Hessian in eta,
+Cov(r), from the second moments of the same terms.
 """
 
 from __future__ import annotations
@@ -53,13 +54,13 @@ class LogNormalizer:
     grad_eta: np.ndarray
 
 
-def _log_g_batch(eta: np.ndarray, R: int, T, with_grad: bool = True):
+def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
     """Batched replicated normalizer over same-size discordant clusters.
 
     eta is (n, K); T is an int or (n,) array with 1 <= T <= K-1.  Returns
-    (value (n,), grad (n, K) or None).  grad[:, k] = E[r_k] under the
-    binomially weighted tilted measure; entries lie in [0, R] and sum to
-    R*T.
+    the first order + 1 of (value (n,), grad (n, K), hess (n, K, K)).
+    grad[:, k] = E[r_k] under the binomially weighted tilted measure; entries
+    lie in [0, R] and sum to R*T.  hess = Cov(r), with rows summing to 0.
     """
     eta = np.asarray(eta, dtype=float)
     n, K = eta.shape
@@ -84,20 +85,29 @@ def _log_g_batch(eta: np.ndarray, R: int, T, with_grad: bool = True):
     # e^(i theta) + e^s, divided by e^s where s > 0 so that e^s is never formed
     a, pos = a[:, None, :], pos[:, None, :]
     d = np.where(pos, 1.0 + a * c, c + a)
-    log_d = np.log(d)
+    log_d = np.log(d).sum(axis=2)
     # R (u(theta_n) - u(0)); the phase R (K-T) theta_n is reduced mod 2 pi
     # in integers
     shift = (R * (K - T)[:, None] * nodes[None, :]) % N
-    w = np.exp(R * (log_d.sum(axis=2) - log_d[:, :1, :].real.sum(axis=2))
-               - 2j * np.pi / N * shift)
+    w = np.exp(R * (log_d - log_d[:, :1].real) - 2j * np.pi / N * shift)
     w *= fold
     total = w.real.sum(axis=1)
     value = R * u0 + np.log(total / N)
-    if not with_grad:
-        return value, None
+    if order == 0:
+        return (value,)
+    # a_k = xi~_k / (e^(i theta) + xi~_k), with d a_k / d eta_k = a_k (1 - a_k)
     ratio = np.where(pos, 1.0, a) / d
-    grad = R * np.einsum("nm,nmk->nk", w, ratio).real / total[:, None]
-    return value, grad
+    w /= total[:, None]
+    grad = R * np.einsum("nm,nmk->nk", w, ratio).real
+    if order == 1:
+        return value, grad
+    # R^2 E[a_j a_k] + delta_jk R E[a_k (1 - a_k)] - grad_j grad_k, with
+    # R E[a_k (1 - a_k)] = grad_k - R E[a_k^2]
+    second = np.einsum("nm,nmj,nmk->njk", w, ratio, ratio).real
+    hess = R * R * second - grad[:, :, None] * grad[:, None, :]
+    diag = np.arange(K)
+    hess[:, diag, diag] += grad - R * second[:, diag, diag]
+    return value, grad, hess
 
 
 def log_g(eta, R: int, T: int) -> LogNormalizer:
@@ -113,7 +123,7 @@ def log_g(eta, R: int, T: int) -> LogNormalizer:
     if T == K:
         return LogNormalizer(value=R * float(eta.sum()),
                              grad_eta=np.full(K, float(R)))
-    value, grad = _log_g_batch(eta[None, :], R, T)
+    value, grad = _log_g_batch(eta[None, :], R, T, 1)
     return LogNormalizer(value=float(value[0]), grad_eta=grad[0])
 
 
@@ -130,54 +140,44 @@ def log_perm_normalizer(eta, T: int) -> LogNormalizer:
 # dataset-level likelihood and score
 # ---------------------------------------------------------------------------
 
-def _grouped_eta(dataset: Dataset, beta):
-    """Cluster indices, stacked eta and outcome sums, grouped by cluster size."""
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    groups: dict[int, list[int]] = {}
-    for j, c in enumerate(dataset.clusters):
-        groups.setdefault(c.size, []).append(j)
-    for idx in groups.values():
-        eta = np.stack([dataset.clusters[j].linear_predictors(beta)
-                        for j in idx])
-        T = np.array([dataset.clusters[j].outcome_sum for j in idx])
-        yield idx, eta, T
+def _clr_eval(dataset: Dataset, R: int, beta, order: int):
+    """Average R-replicated conditional log-likelihood and its derivatives.
 
-
-def _linear_part(dataset: Dataset, beta) -> float:
+    Returns the first order + 1 of (value, score, Hessian), the Hessian being
+    -sum_j X_j' Cov(r_j) X_j / (R N).
+    """
+    if R < 1:
+        raise DataError("replication count R must be >= 1")
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    return sum(float(c.outcomes @ c.linear_predictors(beta))
-               for c in dataset.clusters)
+    P = beta.shape[0]
+    value, score, hess = 0.0, np.zeros(P), np.zeros((P, P))
+    for block in dataset.blocks:
+        eta = block.X @ beta
+        out = _log_g_batch(eta, R, block.T, order)
+        value += float(R * (block.y * eta).sum() - out[0].sum())
+        if order >= 1:
+            score += np.einsum("nk,nkp->p", R * block.y - out[1], block.X)
+        if order >= 2:
+            hess -= np.einsum("nkp,nkq->pq", block.X, out[2] @ block.X)
+    scale = R * dataset.n_individuals
+    return (value / scale, score / scale, hess / scale)[:order + 1]
 
 
 def clr_avg_loglik(dataset: Dataset, beta) -> float:
     """Average conditional log-likelihood given each cluster's outcome sum."""
-    return clr_rep_avg_loglik(dataset, 1, beta)
+    return _clr_eval(dataset, 1, beta, 0)[0]
 
 
 def clr_score(dataset: Dataset, beta) -> np.ndarray:
     """Gradient of clr_avg_loglik."""
-    return clr_rep_score(dataset, 1, beta)
+    return _clr_eval(dataset, 1, beta, 1)[1]
 
 
 def clr_rep_avg_loglik(dataset: Dataset, R: int, beta) -> float:
     """Average conditional log-likelihood with every data point replicated R times."""
-    if R < 1:
-        raise DataError("replication count R must be >= 1")
-    total = R * _linear_part(dataset, beta)
-    for _, eta, T in _grouped_eta(dataset, beta):
-        value, _ = _log_g_batch(eta, R, T, with_grad=False)
-        total -= value.sum()
-    return total / (R * dataset.n_individuals)
+    return _clr_eval(dataset, R, beta, 0)[0]
 
 
 def clr_rep_score(dataset: Dataset, R: int, beta) -> np.ndarray:
     """Gradient of clr_rep_avg_loglik."""
-    if R < 1:
-        raise DataError("replication count R must be >= 1")
-    score = np.zeros(dataset.n_covariates)
-    for idx, eta, T in _grouped_eta(dataset, beta):
-        _, grad = _log_g_batch(eta, R, T)
-        for row, j in enumerate(idx):
-            c = dataset.clusters[j]
-            score += (R * c.outcomes - grad[row]) @ c.covariates
-    return score / (R * dataset.n_individuals)
+    return _clr_eval(dataset, R, beta, 1)[1]

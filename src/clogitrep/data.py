@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Cluster",
     "Dataset",
+    "SizeBlock",
     "Parameters",
     "FitResult",
     "DataError",
@@ -70,12 +72,25 @@ class Cluster:
         return self.covariates @ np.asarray(beta, dtype=float)
 
 
+class SizeBlock(NamedTuple):
+    """The clusters of one size K, stacked in dataset order."""
+
+    index: np.ndarray  # (n,) positions in Dataset.clusters
+    X: np.ndarray      # (n, K, P) covariates
+    y: np.ndarray      # (n, K) outcomes
+    T: np.ndarray      # (n,) outcome sums
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Screened collection of discordant clusters."""
+    """Screened collection of discordant clusters, also packed into one
+    SizeBlock per cluster size, in order of first appearance."""
 
     clusters: tuple[Cluster, ...]
     dropped_concordant: int = 0
+    blocks: tuple[SizeBlock, ...] = field(init=False, repr=False,
+                                          compare=False)
+    n_individuals: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "clusters", tuple(self.clusters))
@@ -88,14 +103,19 @@ class Dataset:
             if c.is_concordant:
                 raise DataError("Dataset may only contain discordant clusters; "
                                 "use screen_dataset")
+        sizes = np.array([c.size for c in self.clusters])
+        blocks = []
+        for K in dict.fromkeys(sizes.tolist()):
+            idx = np.flatnonzero(sizes == K)
+            y = np.stack([self.clusters[j].outcomes for j in idx])
+            X = np.stack([self.clusters[j].covariates for j in idx])
+            blocks.append(SizeBlock(idx, X, y, y.sum(axis=1)))
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "n_individuals", int(sizes.sum()))
 
     @property
     def n_clusters(self) -> int:
         return len(self.clusters)
-
-    @property
-    def n_individuals(self) -> int:
-        return sum(c.size for c in self.clusters)
 
     @property
     def n_covariates(self) -> int:
@@ -148,17 +168,15 @@ def screen_dataset(clusters, dropped_concordant: int = 0) -> Dataset:
     else:
         source = list(clusters)
     kept = []
-    dropped = dropped_concordant
     for c in source:
         if not isinstance(c, Cluster):
             c = Cluster(np.asarray(c[0]), np.asarray(c[1]))
         if c.is_concordant:
-            dropped += 1
+            dropped_concordant += 1
         else:
             kept.append(c)
-    if not kept:
-        raise DataError("no discordant clusters; estimators undefined")
-    return Dataset(clusters=tuple(kept), dropped_concordant=dropped)
+    # Dataset raises DataError when nothing is kept
+    return Dataset(tuple(kept), dropped_concordant)
 
 
 def read_csv(path) -> Dataset:

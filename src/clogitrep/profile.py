@@ -29,11 +29,6 @@ _BISECT_WIDTH = 1e-10
 _NEWTON_POLISH_STEPS = 5
 
 
-def _log1pexp(s):
-    """log(1 + exp(s)), stable for large |s|."""
-    return np.logaddexp(0.0, s)
-
-
 def _tau_batch(eta: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Profile roots for a batch of same-size clusters.
 
@@ -81,18 +76,45 @@ def profile_tau(cluster: Cluster, beta) -> float:
 
 
 def _dataset_taus(dataset: Dataset, beta) -> np.ndarray:
-    """Profile roots for every cluster, batched by cluster size."""
-    beta = np.asarray(beta, dtype=float)
+    """Profile roots for every cluster, one batch per cluster size."""
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
     taus = np.empty(dataset.n_clusters)
-    by_size: dict[int, list[int]] = {}
-    for j, c in enumerate(dataset.clusters):
-        by_size.setdefault(c.size, []).append(j)
-    for size, idx in by_size.items():
-        eta = np.stack([dataset.clusters[j].linear_predictors(beta)
-                        for j in idx])
-        T = np.array([dataset.clusters[j].outcome_sum for j in idx])
-        taus[idx] = _tau_batch(eta, T)
+    for block in dataset.blocks:
+        taus[block.index] = _tau_batch(block.X @ beta, block.T)
     return taus
+
+
+def _olr_eval(dataset: Dataset, beta, order: int, cluster_effects=None):
+    """Average ordinary log-likelihood and, up to `order`, its derivatives.
+
+    The intercepts are `cluster_effects` if given, else the profile roots.
+    Returns the first order + 1 of (value, score, Hessian); score and Hessian
+    are those of the profile log-likelihood, so they need the profile roots.
+    The Hessian is the Schur complement of the intercept block,
+
+        -sum_j [X_j' W_j X_j - (X_j' w_j)(w_j' X_j) / sum_k w_jk],
+
+    with w_jk = pi_jk (1 - pi_jk).
+    """
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    P = beta.shape[0]
+    if cluster_effects is None:
+        cluster_effects = _dataset_taus(dataset, beta)
+    value, score, hess = 0.0, np.zeros(P), np.zeros((P, P))
+    for block in dataset.blocks:
+        s = block.X @ beta + cluster_effects[block.index][:, None]
+        value += float((block.y * s).sum() - np.logaddexp(0.0, s).sum())
+        if order >= 1:
+            p = expit(s)
+            score += np.einsum("nk,nkp->p", block.y - p, block.X)
+        if order >= 2:
+            w = p * (1.0 - p)
+            wx = w[:, :, None] * block.X
+            xw = wx.sum(axis=1)
+            hess -= (np.einsum("nkp,nkq->pq", block.X, wx)
+                     - (xw.T / np.maximum(w.sum(axis=1), 1e-300)) @ xw)
+    N = dataset.n_individuals
+    return (value / N, score / N, hess / N)[:order + 1]
 
 
 def olr_avg_loglik(dataset: Dataset, params: Parameters) -> float:
@@ -103,17 +125,12 @@ def olr_avg_loglik(dataset: Dataset, params: Parameters) -> float:
     if b.shape != (dataset.n_clusters,):
         raise DataError(f"expected {dataset.n_clusters} cluster effects, "
                         f"got {b.shape}")
-    total = 0.0
-    for j, c in enumerate(dataset.clusters):
-        s = c.linear_predictors(params.beta) + b[j]
-        total += float(np.dot(c.outcomes, s) - _log1pexp(s).sum())
-    return total / dataset.n_individuals
+    return _olr_eval(dataset, params.beta, 0, b)[0]
 
 
 def profile_loglik(dataset: Dataset, beta) -> float:
     """Ordinary log-likelihood maximized over intercepts at fixed beta."""
-    taus = _dataset_taus(dataset, beta)
-    return olr_avg_loglik(dataset, Parameters(beta=beta, cluster_effects=taus))
+    return _olr_eval(dataset, beta, 0)[0]
 
 
 def olr_profile_score(dataset: Dataset, beta) -> np.ndarray:
@@ -121,10 +138,4 @@ def olr_profile_score(dataset: Dataset, beta) -> np.ndarray:
 
     (1/N) sum_jk (Y_jk - pi_jk) X_jk with pi_jk = expit(eta_jk + tau_j).
     """
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    taus = _dataset_taus(dataset, beta)
-    score = np.zeros(dataset.n_covariates)
-    for j, c in enumerate(dataset.clusters):
-        p = expit(c.linear_predictors(beta) + taus[j])
-        score += (c.outcomes - p) @ c.covariates
-    return score / dataset.n_individuals
+    return _olr_eval(dataset, beta, 1)[1]

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
+from . import profile
 from .conditional import log_g
-from .data import Cluster, DataError
-from .profile import profile_tau
+from .data import DataError
 
 __all__ = [
     "SaddleDiagnostics",
@@ -47,21 +47,15 @@ class SaddleDiagnostics:
 
 
 def _tau_of(eta: np.ndarray, T: int) -> float:
-    K = eta.shape[0]
-    if not 1 <= T <= K - 1:
+    if not 1 <= T <= eta.shape[0] - 1:
         raise DataError("saddle requires a discordant cluster (finite root)")
-    cluster = Cluster(covariates=eta[:, None], outcomes=np.array(
-        [1] * T + [0] * (K - T)))
-    return profile_tau(cluster, np.array([1.0]))
+    return float(profile._tau_batch(eta[None, :], np.array([T]))[0])
 
 
 def u_of_theta(eta, T: int, theta: float) -> complex:
     """Complex rate function on the saddle contour rho = exp(-tau)."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    K = eta.shape[0]
-    tau = _tau_of(eta, T)
-    z = np.exp(1j * theta) + np.exp(eta + tau)
-    return complex(-tau * T - 1j * (K - T) * theta + np.log(z).sum())
+    return complex(_u_batch(eta, T, _tau_of(eta, T), np.array([theta]))[0])
 
 
 def _u_batch(eta: np.ndarray, T: int, tau: float,
@@ -82,7 +76,7 @@ def contour_integral_g(eta, T: int, R: int, nodes: int = 512) -> float:
         raise ValueError("nodes must be >= 256")
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     tau = _tau_of(eta, int(T))
-    u0 = float(np.real(u_of_theta(eta, T, 0.0)))
+    u0 = float(_u_batch(eta, T, tau, np.zeros(1))[0].real)
 
     def quad(n):
         theta = -np.pi + 2.0 * np.pi * np.arange(n) / n

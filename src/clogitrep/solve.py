@@ -1,10 +1,10 @@
 """Concave maximization for the three estimators, plus closed-form relation checks.
 
 All three objectives (profile, conditional, replicated conditional) are
-concave with an exact analytic gradient, so the solver is a damped Newton
-method with the Hessian taken by forward differences of the gradient and an
-Armijo backtracking line search; if the Newton direction fails to be an
-ascent direction the step falls back to the gradient.
+concave with closed-form score and Hessian, so the solver is a damped Newton
+method: one exact score-and-Hessian evaluation per iterate, then an Armijo
+backtracking line search on the objective.  If the Newton direction fails
+to be an ascent direction the step falls back to the gradient.
 """
 
 from __future__ import annotations
@@ -32,20 +32,20 @@ class SolverError(RuntimeError):
     """Maximization failed (divergence, iteration cap, or rank deficiency)."""
 
 
+# Armijo line search: backtracking factor and sufficient-increase constant
+STEP_SHRINK = 0.5
+ARMIJO_C = 1e-4
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     grad_tol: float = 1e-8
     max_iter: int = 200
     divergence_norm: float = 1e4
-    step_shrink: float = 0.5
-    armijo_c: float = 1e-4
 
     def __post_init__(self):
-        if min(self.grad_tol, self.max_iter, self.divergence_norm,
-               self.armijo_c) <= 0:
+        if min(self.grad_tol, self.max_iter, self.divergence_norm) <= 0:
             raise ValueError("solver config entries must be positive")
-        if not 0 < self.step_shrink < 1:
-            raise ValueError("step_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -66,32 +66,30 @@ def _check_column_rank(dataset: Dataset) -> None:
     avoids materializing the N x (P + J) matrix.
     """
     P = dataset.n_covariates
-    centered = np.vstack([c.covariates - c.covariates.mean(axis=0)
-                          for c in dataset.clusters])
+    centered = np.vstack([
+        (b.X - b.X.mean(axis=1, keepdims=True)).reshape(-1, P)
+        for b in dataset.blocks])
     if np.linalg.matrix_rank(centered) < P:
         raise SolverError("design matrix [X | cluster indicators] is rank "
                           "deficient; parameters not identified")
 
 
-def _maximize(objective, gradient, p: int, cfg: SolverConfig,
+def _maximize(value, derivatives, p: int, cfg: SolverConfig,
               x0=None) -> tuple[np.ndarray, float, float, int, list[float]]:
-    """Damped Newton ascent on a concave objective with analytic gradient."""
+    """Damped Newton ascent on a concave objective.
+
+    derivatives(x) returns (score, Hessian) and is called once per iterate.
+    """
     x = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
-    f = objective(x)
+    f = value(x)
     trace = [f]
-    for it in range(cfg.max_iter):
-        g = gradient(x)
+    for it in range(cfg.max_iter + 1):
+        g, H = derivatives(x)
         gnorm = float(np.abs(g).max())
         if gnorm <= cfg.grad_tol:
             return x, f, gnorm, it, trace
-        # Hessian by forward differences of the analytic gradient
-        H = np.empty((p, p))
-        for i in range(p):
-            h = 1e-6 * max(1.0, abs(x[i]))
-            xp = x.copy()
-            xp[i] += h
-            H[:, i] = (gradient(xp) - g) / h
-        H = 0.5 * (H + H.T)
+        if it == cfg.max_iter:
+            raise SolverError("max iterations exceeded")
         try:
             d = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -102,10 +100,10 @@ def _maximize(objective, gradient, p: int, cfg: SolverConfig,
         t = 1.0
         while True:
             x_new = x + t * d
-            f_new = objective(x_new)
-            if f_new >= f + cfg.armijo_c * t * slope:
+            f_new = value(x_new)
+            if f_new >= f + ARMIJO_C * t * slope:
                 break
-            t *= cfg.step_shrink
+            t *= STEP_SHRINK
             if t < 1e-14:
                 # x, and so the next search, would be unchanged
                 raise SolverError("line search stalled: no step along the "
@@ -116,44 +114,36 @@ def _maximize(objective, gradient, p: int, cfg: SolverConfig,
         if np.abs(x).max() > cfg.divergence_norm:
             raise SolverError("divergence: possible separation / "
                               "nonexistent MLE")
-    g = gradient(x)
-    gnorm = float(np.abs(g).max())
-    if gnorm <= cfg.grad_tol:
-        return x, f, gnorm, cfg.max_iter, trace
-    raise SolverError("max iterations exceeded")
+
+
+def _fit(dataset: Dataset, method: str, value, derivatives,
+         cfg: SolverConfig | None, x0) -> FitResult:
+    _check_column_rank(dataset)
+    beta, f, gnorm, its, trace = _maximize(
+        value, derivatives, dataset.n_covariates, cfg or SolverConfig(), x0)
+    return FitResult(beta_hat=beta, objective=f, grad_inf_norm=gnorm,
+                     iterations=its, method=method, converged=True,
+                     objective_trace=trace,
+                     dropped_concordant=dataset.dropped_concordant)
 
 
 def solve_mle(dataset: Dataset, cfg: SolverConfig | None = None,
               x0=None) -> FitResult:
     """Maximize the profile log-likelihood (ordinary logistic MLE for beta)."""
-    cfg = cfg or SolverConfig()
-    _check_column_rank(dataset)
-    p = dataset.n_covariates
-    beta, f, gnorm, its, trace = _maximize(
-        lambda b: profile.profile_loglik(dataset, b),
-        lambda b: profile.olr_profile_score(dataset, b),
-        p, cfg, x0)
-    tau = profile._dataset_taus(dataset, beta)
-    return FitResult(beta_hat=beta, objective=f, grad_inf_norm=gnorm,
-                     iterations=its, method="MLE", converged=True, tau=tau,
-                     objective_trace=trace,
-                     dropped_concordant=dataset.dropped_concordant)
+    fit = _fit(dataset, "MLE",
+               lambda b: profile.profile_loglik(dataset, b),
+               lambda b: profile._olr_eval(dataset, b, 2)[1:], cfg, x0)
+    fit.tau = profile._dataset_taus(dataset, fit.beta_hat)
+    return fit
 
 
 def solve_cmle(dataset: Dataset, cfg: SolverConfig | None = None,
                x0=None) -> FitResult:
     """Maximize the exact conditional log-likelihood."""
-    cfg = cfg or SolverConfig()
-    _check_column_rank(dataset)
-    p = dataset.n_covariates
-    beta, f, gnorm, its, trace = _maximize(
-        lambda b: conditional.clr_avg_loglik(dataset, b),
-        lambda b: conditional.clr_score(dataset, b),
-        p, cfg, x0)
-    return FitResult(beta_hat=beta, objective=f, grad_inf_norm=gnorm,
-                     iterations=its, method="CMLE", converged=True,
-                     objective_trace=trace,
-                     dropped_concordant=dataset.dropped_concordant)
+    return _fit(dataset, "CMLE",
+                lambda b: conditional.clr_avg_loglik(dataset, b),
+                lambda b: conditional._clr_eval(dataset, 1, b, 2)[1:],
+                cfg, x0)
 
 
 def solve_cmle_replicated(dataset: Dataset, R: int,
@@ -164,27 +154,19 @@ def solve_cmle_replicated(dataset: Dataset, R: int,
     Pass the previous (smaller-R) estimate as x0 to warm start; R grids are
     typically solved in ascending order.
     """
-    cfg = cfg or SolverConfig()
     if R < 1:
         raise DataError("replication count R must be >= 1")
-    _check_column_rank(dataset)
-    p = dataset.n_covariates
-    beta, f, gnorm, its, trace = _maximize(
-        lambda b: conditional.clr_rep_avg_loglik(dataset, R, b),
-        lambda b: conditional.clr_rep_score(dataset, R, b),
-        p, cfg, x0)
-    return FitResult(beta_hat=beta, objective=f, grad_inf_norm=gnorm,
-                     iterations=its, method=f"CMLE-R(R={R})", converged=True,
-                     objective_trace=trace,
-                     dropped_concordant=dataset.dropped_concordant)
+    return _fit(dataset, f"CMLE-R(R={R})",
+                lambda b: conditional.clr_rep_avg_loglik(dataset, R, b),
+                lambda b: conditional._clr_eval(dataset, R, b, 2)[1:],
+                cfg, x0)
 
 
 def verify_pair_identity(dataset: Dataset,
                          cfg: SolverConfig | None = None) -> RelationReport:
     """Matched-pair relation: the MLE equals twice the CMLE when all K_j = 2."""
-    for c in dataset.clusters:
-        if c.size != 2:
-            raise DataError("pair identity requires every cluster size to be 2")
+    if any(b.X.shape[1] != 2 for b in dataset.blocks):
+        raise DataError("pair identity requires every cluster size to be 2")
     mle = solve_mle(dataset, cfg)
     cmle = solve_cmle(dataset, cfg)
     gaps = np.abs(mle.beta_hat - 2.0 * cmle.beta_hat)
@@ -202,18 +184,15 @@ def _one_to_k_design_controls(dataset: Dataset) -> int:
     """Validate the 1:K treatment-control shape and return K (# controls)."""
     if dataset.n_covariates != 1:
         raise DataError("1:K identity requires a single treatment indicator")
-    sizes = {c.size for c in dataset.clusters}
-    if len(sizes) != 1:
+    if len(dataset.blocks) != 1:
         raise DataError("1:K identity requires a common cluster size")
-    size = sizes.pop()
-    if size < 3:
+    x = dataset.blocks[0].X[:, :, 0]
+    if x.shape[1] < 3:
         raise DataError("1:K identity requires K > 1 controls per cluster")
-    for c in dataset.clusters:
-        x = c.covariates[:, 0]
-        if x[0] != 1.0 or np.any(x[1:] != 0.0):
-            raise DataError("1:K identity requires the first individual "
-                            "treated (x=1) and the rest controls (x=0)")
-    return size - 1
+    if np.any(x[:, 0] != 1.0) or np.any(x[:, 1:] != 0.0):
+        raise DataError("1:K identity requires the first individual "
+                        "treated (x=1) and the rest controls (x=0)")
+    return x.shape[1] - 1
 
 
 def verify_1K_identity(dataset: Dataset,
@@ -238,15 +217,11 @@ def verify_1K_identity(dataset: Dataset,
     cmle = solve_cmle(dataset, cfg)
     bo = float(mle.beta_hat[0])
     bc = float(cmle.beta_hat[0])
-    n_t = np.zeros(K + 1, dtype=int)
-    for c in dataset.clusters:
-        n_t[c.outcome_sum] += 1
+    n_t = np.bincount(dataset.blocks[0].T, minlength=K + 1)
     lhs = rhs = 0.0
     eo = np.exp(bo)
     ec = np.exp(bc)
     for t in range(1, K + 1):
-        if n_t[t] == 0:
-            continue
         lhs += n_t[t] / (1.0 + t * ec / (K - t + 1))
         disc = ((t - 1) * eo - (K - t)) ** 2 + 4.0 * t * (K + 1 - t) * eo
         denom = (1.0 + ((t - 1) * eo - (K - t) + np.sqrt(disc))

@@ -59,6 +59,20 @@ def random_one_to_k(seed, n_clusters=30, controls=2, beta=0.7):
     return screen_dataset(clusters)
 
 
+def random_five_sets(seed, n_clusters=25, beta=(0.6, -0.4)):
+    """Seeded dataset of discordant size-5 clusters with two covariates."""
+    rng = np.random.default_rng(seed)
+    beta = np.asarray(beta, dtype=float)
+    clusters = []
+    while len(clusters) < n_clusters:
+        X = rng.normal(size=(5, 2))
+        y = (rng.random(5) < expit(rng.normal() + X @ beta)).astype(int)
+        c = Cluster(X, y)
+        if not c.is_concordant:
+            clusters.append(c)
+    return screen_dataset(clusters)
+
+
 def random_cluster_eta(rng, k_range=(2, 5)):
     """Random (eta, T) for a discordant cluster."""
     K = int(rng.integers(k_range[0], k_range[1] + 1))

@@ -138,7 +138,7 @@ def test_criterion_6_contour_vs_dp():
                 q = contour_integral_g(eta, T, R)
                 worst = max(worst, abs(q - dp) / max(1.0, abs(dp)))
     elapsed = time.time() - t0
-    report(6, "contour quadrature reproduces the DP normalizer",
+    report(6, "contour quadrature reproduces the saddle-circle kernel",
            worst <= 1e-8 and elapsed < 30.0,
            f"max rel err {worst:.2e}, {elapsed:.1f}s")
 
@@ -161,7 +161,7 @@ def test_criterion_7_dp_vs_enumeration():
         worst = max(worst, abs(log_g(eta, R, T).value - exact)
                     / max(1.0, abs(exact)))
     elapsed = time.time() - t0
-    report(7, "DP normalizer matches brute-force enumeration",
+    report(7, "saddle-circle kernel matches brute-force enumeration",
            worst <= 1e-10 and elapsed < 10.0,
            f"max rel err {worst:.2e}, {elapsed:.1f}s")
 

@@ -53,6 +53,19 @@ class TestScreening:
         with pytest.raises(DataError):
             Dataset(clusters=(make_cluster([1, 1]),))
 
+    def test_blocks_pack_each_size_in_order(self):
+        clusters = [make_cluster([1, 0, 0]), make_cluster([0, 1]),
+                    make_cluster([1, 1, 0]), make_cluster([1, 0])]
+        ds = screen_dataset(clusters)
+        assert [b.index.tolist() for b in ds.blocks] == [[0, 2], [1, 3]]
+        for b in ds.blocks:
+            for row, j in enumerate(b.index):
+                np.testing.assert_array_equal(b.X[row],
+                                              clusters[j].covariates)
+                np.testing.assert_array_equal(b.y[row], clusters[j].outcomes)
+                assert b.T[row] == clusters[j].outcome_sum
+        assert ds.n_individuals == 10
+
 
 class TestCsvReader:
     def test_reads_and_groups(self, tmp_path):

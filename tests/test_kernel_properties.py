@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clogitrep.conditional import log_g
+from clogitrep.conditional import _log_g_batch, log_g
 
 
 @st.composite
@@ -42,3 +42,20 @@ def test_shift_adds_rtc(case, c):
     shifted = log_g(eta + c, R, T).value
     assert abs(shifted - (base + R * T * c)) <= 1e-12 * max(
         1.0, abs(base), abs(shifted))
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_cases())
+def test_hessian_rows_sum_to_zero(case):
+    # the entries of r always sum to R T, so Cov(r) annihilates ones
+    eta, R, T = case
+    hess = _log_g_batch(eta[None, :], R, T, 2)[2][0]
+    assert np.abs(hess.sum(axis=1)).max() <= 1e-10 * R * R
+
+
+@settings(deadline=None, max_examples=150)
+@given(kernel_cases())
+def test_hessian_positive_semidefinite(case):
+    eta, R, T = case
+    hess = _log_g_batch(eta[None, :], R, T, 2)[2][0]
+    assert np.linalg.eigvalsh(hess).min() >= -1e-10 * R * R

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from clogitrep import conditional, profile
 from clogitrep.conditional import clr_rep_score, clr_score
 from clogitrep.data import Cluster, DataError, screen_dataset
 from clogitrep.profile import olr_profile_score
 from clogitrep.solve import (SolverConfig, SolverError, _maximize,
                              solve_cmle, solve_cmle_replicated, solve_mle,
                              verify_1K_identity, verify_pair_identity)
-from conftest import random_matched_pairs, random_one_to_k
+from conftest import random_five_sets, random_matched_pairs, random_one_to_k
 
 
 class TestSolveMle:
@@ -54,20 +55,61 @@ class TestSolveMle:
 
 
 def test_line_search_stall_raises_at_once():
-    # the gradient does not match the objective, so no step along it helps
-    calls = {"objective": 0, "gradient": 0}
+    # the score does not match the objective, so no step along it helps
+    calls = {"value": 0, "derivatives": 0}
 
-    def objective(x):
-        calls["objective"] += 1
+    def value(x):
+        calls["value"] += 1
         return -float(x @ x)
 
-    def gradient(x):
-        calls["gradient"] += 1
-        return np.ones(2)
+    def derivatives(x):
+        calls["derivatives"] += 1
+        return np.ones(2), -np.eye(2)
 
     with pytest.raises(SolverError, match="line search stalled"):
-        _maximize(objective, gradient, 2, SolverConfig())
-    assert calls["objective"] + calls["gradient"] < 100
+        _maximize(value, derivatives, 2, SolverConfig())
+    assert calls["value"] + calls["derivatives"] < 100
+
+
+@pytest.mark.parametrize("module, name, solver", [
+    (profile, "_olr_eval", solve_mle),
+    (conditional, "_clr_eval", solve_cmle),
+    (conditional, "_clr_eval", lambda ds: solve_cmle_replicated(ds, 5)),
+])
+def test_one_derivative_call_per_iterate(monkeypatch, module, name, solver):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(dataset, *args):
+        calls.append(args[-1])
+        return original(dataset, *args)
+
+    monkeypatch.setattr(module, name, counted)
+    fit = solver(random_matched_pairs(41, n_pairs=30))
+    assert fit.iterations >= 1
+    assert calls.count(2) <= fit.iterations + 1
+
+
+@pytest.mark.parametrize("R", [None, 1, 10, 100])
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_hessian(R, seed):
+    # R None is the profile objective; the rest are CMLE-R objectives
+    ds = random_five_sets(500 + seed)
+    beta = np.array([0.3, -0.2])
+    if R is None:
+        score = lambda b: olr_profile_score(ds, b)
+        hess = profile._olr_eval(ds, beta, 2)[2]
+    else:
+        score = lambda b: clr_rep_score(ds, R, b)
+        hess = conditional._clr_eval(ds, R, beta, 2)[2]
+    h = 1e-5
+    fd = np.column_stack([(score(beta + h * e) - score(beta - h * e)) / (2 * h)
+                          for e in np.eye(2)])
+    scale = np.abs(hess).max()
+    assert np.abs(hess - fd).max() <= 1e-7 * scale
+    # Cov(r) is R^2 E[a a'] - E[r] E[r]', so rounding grows with R
+    assert np.abs(hess - hess.T).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh(hess).max() <= 1e-12 * scale
 
 
 class TestSolveCmle:
@@ -184,8 +226,6 @@ class TestOneToKIdentity:
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(step_shrink=1.5)
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1.0)
 
