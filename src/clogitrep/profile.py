@@ -25,44 +25,40 @@ __all__ = [
 ]
 
 _TAU_RESIDUAL_TOL = 1e-12
-_BISECT_WIDTH = 1e-10
-_NEWTON_POLISH_STEPS = 5
+# a cap only, the residual ends the loop: 100 halvings alone take a bracket
+# 1e14 wide below 1e-16
+_TAU_MAX_STEPS = 100
 
 
 def _tau_batch(eta: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Profile roots for a batch of same-size clusters.
 
-    eta is (n, K), T is (n,) with 1 <= T <= K-1.  Bisection on the analytic
-    bracket logit(T/K) -/+ max_k|eta_k| (the root equation's left side is
-    strictly increasing in tau), then a few Newton steps to polish.
+    eta is (n, K), T is (n,) with 1 <= T <= K-1.  The root equation's left
+    side is strictly increasing in tau, and the root lies in the analytic
+    bracket logit(T/K) -/+ max_k|eta_k|.  Bracketed Newton from the centre:
+    each residual's sign moves one end of the bracket to the current tau,
+    and a Newton step that would leave the bracket bisects it instead.
     """
     eta = np.asarray(eta, dtype=float)
     T = np.asarray(T, dtype=float)
     K = eta.shape[1]
     amp = np.abs(eta).max(axis=1)
-    center = np.log(T / (K - T))
-    lo = center - amp
-    hi = center + amp
-
-    def resid(tau):
-        return expit(eta + tau[:, None]).sum(axis=1) - T
-
-    # bisection to the requested bracket width
-    n_steps = max(1, int(np.ceil(np.log2(max(2.0 * amp.max(), 1.0)
-                                         / _BISECT_WIDTH))))
-    for _ in range(n_steps):
-        mid = 0.5 * (lo + hi)
-        high = resid(mid) > 0.0
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    tau = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_POLISH_STEPS):
+    tau = np.log(T / (K - T))
+    lo = tau - amp
+    hi = tau + amp
+    for _ in range(_TAU_MAX_STEPS):
         p = expit(eta + tau[:, None])
         f = p.sum(axis=1) - T
         if np.all(np.abs(f) <= _TAU_RESIDUAL_TOL):
             break
-        fp = (p * (1.0 - p)).sum(axis=1)
-        tau = tau - f / np.maximum(fp, 1e-300)
+        high = f > 0.0
+        hi = np.where(high, tau, hi)
+        lo = np.where(high, lo, tau)
+        newton = tau - f / np.maximum((p * (1.0 - p)).sum(axis=1), 1e-300)
+        # inclusive: tau is the end just moved, so when the step rounds to 0
+        # strict bounds would bisect away from the root
+        tau = np.where((newton >= lo) & (newton <= hi), newton,
+                       0.5 * (lo + hi))
     return tau
 
 

@@ -2,8 +2,9 @@
 
 All three objectives (profile, conditional, replicated conditional) are
 concave with closed-form score and Hessian, so the solver is a damped Newton
-method: one exact score-and-Hessian evaluation per iterate, then an Armijo
-backtracking line search on the objective.  If the Newton direction fails
+method with an Armijo backtracking line search.  Each trial point is
+evaluated once, for value, score and Hessian together; the accepted point's
+score and Hessian give the next Newton step.  If the Newton direction fails
 to be an ascent direction the step falls back to the gradient.
 """
 
@@ -74,17 +75,17 @@ def _check_column_rank(dataset: Dataset) -> None:
                           "deficient; parameters not identified")
 
 
-def _maximize(value, derivatives, p: int, cfg: SolverConfig,
+def _maximize(evaluate, p: int, cfg: SolverConfig,
               x0=None) -> tuple[np.ndarray, float, float, int, list[float]]:
     """Damped Newton ascent on a concave objective.
 
-    derivatives(x) returns (score, Hessian) and is called once per iterate.
+    evaluate(x) returns (value, score, Hessian) and is called once per trial
+    point of the line search, the starting point included.
     """
     x = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
-    f = value(x)
+    f, g, H = evaluate(x)
     trace = [f]
     for it in range(cfg.max_iter + 1):
-        g, H = derivatives(x)
         gnorm = float(np.abs(g).max())
         if gnorm <= cfg.grad_tol:
             return x, f, gnorm, it, trace
@@ -100,7 +101,7 @@ def _maximize(value, derivatives, p: int, cfg: SolverConfig,
         t = 1.0
         while True:
             x_new = x + t * d
-            f_new = value(x_new)
+            f_new, g_new, H_new = evaluate(x_new)
             if f_new >= f + ARMIJO_C * t * slope:
                 break
             t *= STEP_SHRINK
@@ -109,18 +110,18 @@ def _maximize(value, derivatives, p: int, cfg: SolverConfig,
                 raise SolverError("line search stalled: no step along the "
                                   "search direction increased the objective "
                                   f"(|g|inf = {gnorm:.3g})")
-        x, f = x_new, f_new
+        x, f, g, H = x_new, f_new, g_new, H_new
         trace.append(f)
         if np.abs(x).max() > cfg.divergence_norm:
             raise SolverError("divergence: possible separation / "
                               "nonexistent MLE")
 
 
-def _fit(dataset: Dataset, method: str, value, derivatives,
-         cfg: SolverConfig | None, x0) -> FitResult:
+def _fit(dataset: Dataset, method: str, evaluate, cfg: SolverConfig | None,
+         x0) -> FitResult:
     _check_column_rank(dataset)
     beta, f, gnorm, its, trace = _maximize(
-        value, derivatives, dataset.n_covariates, cfg or SolverConfig(), x0)
+        evaluate, dataset.n_covariates, cfg or SolverConfig(), x0)
     return FitResult(beta_hat=beta, objective=f, grad_inf_norm=gnorm,
                      iterations=its, method=method, converged=True,
                      objective_trace=trace,
@@ -130,9 +131,8 @@ def _fit(dataset: Dataset, method: str, value, derivatives,
 def solve_mle(dataset: Dataset, cfg: SolverConfig | None = None,
               x0=None) -> FitResult:
     """Maximize the profile log-likelihood (ordinary logistic MLE for beta)."""
-    fit = _fit(dataset, "MLE",
-               lambda b: profile.profile_loglik(dataset, b),
-               lambda b: profile._olr_eval(dataset, b, 2)[1:], cfg, x0)
+    fit = _fit(dataset, "MLE", lambda b: profile._olr_eval(dataset, b, 2),
+               cfg, x0)
     fit.tau = profile._dataset_taus(dataset, fit.beta_hat)
     return fit
 
@@ -141,9 +141,7 @@ def solve_cmle(dataset: Dataset, cfg: SolverConfig | None = None,
                x0=None) -> FitResult:
     """Maximize the exact conditional log-likelihood."""
     return _fit(dataset, "CMLE",
-                lambda b: conditional.clr_avg_loglik(dataset, b),
-                lambda b: conditional._clr_eval(dataset, 1, b, 2)[1:],
-                cfg, x0)
+                lambda b: conditional._clr_eval(dataset, 1, b, 2), cfg, x0)
 
 
 def solve_cmle_replicated(dataset: Dataset, R: int,
@@ -157,9 +155,7 @@ def solve_cmle_replicated(dataset: Dataset, R: int,
     if R < 1:
         raise DataError("replication count R must be >= 1")
     return _fit(dataset, f"CMLE-R(R={R})",
-                lambda b: conditional.clr_rep_avg_loglik(dataset, R, b),
-                lambda b: conditional._clr_eval(dataset, R, b, 2)[1:],
-                cfg, x0)
+                lambda b: conditional._clr_eval(dataset, R, b, 2), cfg, x0)
 
 
 def verify_pair_identity(dataset: Dataset,

@@ -3,9 +3,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import expit
 
+from clogitrep import profile
 from clogitrep.data import Cluster, DataError, Parameters, screen_dataset
 from clogitrep.profile import (olr_avg_loglik, olr_profile_score,
                                profile_loglik, profile_tau)
@@ -68,6 +71,50 @@ class TestProfileTau:
         amp = np.abs(eta).max()
         f = lambda t: expit(eta + t).sum() - T
         assert f(center - amp) <= 0 <= f(center + amp)
+
+
+@st.composite
+def root_cases(draw):
+    """(eta, T) with K <= 8 and predictors out to +-500."""
+    K = draw(st.integers(2, 8))
+    T = draw(st.integers(1, K - 1))
+    eta = draw(st.lists(st.floats(-500.0, 500.0), min_size=K, max_size=K))
+    return np.array(eta), T
+
+
+@settings(deadline=None, max_examples=300)
+@given(root_cases())
+def test_tau_batch_root_in_bracket(case):
+    eta, T = case
+    tau = profile._tau_batch(eta[None, :], np.array([T]))[0]
+    # np.log, as in _tau_batch: a root on the bracket's end must compare equal
+    center = np.log(T / (len(eta) - T))
+    amp = np.abs(eta).max()
+    assert center - amp <= tau <= center + amp
+    assert abs(expit(eta + tau).sum() - T) <= 1e-12
+
+
+def test_tau_batch_residual_evaluations(monkeypatch):
+    # each loop step evaluates the residual once, through one expit call
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return expit(x)
+
+    monkeypatch.setattr(profile, "expit", counted)
+    rng = np.random.default_rng(7)
+    worst = 0
+    for _ in range(200):
+        K = int(rng.integers(2, 9))
+        T = int(rng.integers(1, K))
+        eta = rng.normal(scale=2.0, size=(1, K))
+        calls = 0
+        tau = profile._tau_batch(eta, np.array([T]))[0]
+        assert abs(expit(eta[0] + tau).sum() - T) <= 1e-12
+        worst = max(worst, calls)
+    assert worst <= 10
 
 
 class TestOlrAvgLoglik:
