@@ -19,6 +19,13 @@ give the gradient in eta, the tilted-measure expectations
 E[r_k] = R Re sum_n w_n xi~_k / (e^(i theta_n) + xi~_k) / Re sum_n w_n,
 with w_n the integrand and xi~_k = exp(eta_k + tau), and the Hessian in eta,
 Cov(r), from the second moments of the same terms.
+
+Each node takes one complex log, of the product of its K factors rather
+than one log per factor: R is an integer, so exp(R log prod_k d_k) =
+exp(R sum_k log d_k) on any branch of the log.  The product runs over
+chunks of at most _PROD_CHUNK factors, each of modulus at most 2, so no
+chunk overflows; a chunk that underflows marks a node of negligible weight,
+which is taken as 0.
 """
 
 from __future__ import annotations
@@ -42,8 +49,14 @@ __all__ = [
 ]
 
 # Largest R*K accepted: a cluster takes N = RK + 1 quadrature nodes, of which
-# the kernel evaluates N/2 + 1, holding about N*K/2 complex values.
+# the kernel evaluates N/2 + 1, holding about N*K/2 complex factors and
+# taking one complex log per node for every _PROD_CHUNK of them.
 DEFAULT_STATE_CAP = 10**6
+# Most factors multiplied before one complex log
+_PROD_CHUNK = 512
+# Complex elements in one (rows, N/2 + 1, K) temporary (32 MB); larger
+# batches are split by rows, so only a single row can exceed it
+_TEMP_BUDGET = 2**21
 
 
 @dataclass(frozen=True)
@@ -54,6 +67,7 @@ class LogNormalizer:
     grad_eta: np.ndarray
 
 
+@np.errstate(under="ignore", divide="ignore")
 def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
     """Batched replicated normalizer over same-size discordant clusters.
 
@@ -61,6 +75,8 @@ def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
     the first order + 1 of (value (n,), grad (n, K), hess (n, K, K)).
     grad[:, k] = E[r_k] under the binomially weighted tilted measure; entries
     lie in [0, R] and sum to R*T.  hess = Cov(r), with rows summing to 0.
+    Underflow only strikes terms negligible next to the node at theta = 0:
+    they are taken as 0, a product of factors by way of a log of -inf.
     """
     eta = np.asarray(eta, dtype=float)
     n, K = eta.shape
@@ -69,6 +85,11 @@ def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
         raise DataError(f"state space R*K = {R * K} exceeds cap "
                         f"{DEFAULT_STATE_CAP}")
     N = R * K + 1
+    rows = max(1, _TEMP_BUDGET // ((N // 2 + 1) * K))
+    if n > rows:
+        parts = [_log_g_batch(eta[i:i + rows], R, T[i:i + rows], order)
+                 for i in range(0, n, rows)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     tau = profile._tau_batch(eta, T)
     s = eta + tau[:, None]
     pos = s > 0.0
@@ -81,29 +102,40 @@ def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
     # nodes past N/2 are folded onto their mirror images by a weight of 2
     nodes = np.arange(N // 2 + 1)
     fold = np.where((nodes == 0) | (2 * nodes == N), 1.0, 2.0)
-    c = np.exp(2j * np.pi / N * nodes)[None, :, None]
-    # e^(i theta) + e^s, divided by e^s where s > 0 so that e^s is never formed
-    a, pos = a[:, None, :], pos[:, None, :]
-    d = np.where(pos, 1.0 + a * c, c + a)
-    log_d = np.log(d).sum(axis=2)
+    # d = A + B e^(i theta) is e^(i theta) + e^s, divided by e^s where s > 0
+    # so that e^s is never formed
+    A = np.where(pos, 1.0, a)[:, None, :]
+    B = np.where(pos, a, 1.0)[:, None, :]
+    d = B * np.exp(2j * np.pi / N * nodes)[None, :, None]
+    d += A
+    # R sum_k log d_k = R log prod_k d_k on any branch of the log, R being an
+    # integer.  |d_k| <= 2, so a chunk of _PROD_CHUNK factors cannot
+    # overflow; a chunk that underflows to 0 marks a node whose weight is
+    # below e^(-708 R), and its log of -inf weighs it exactly 0
+    chunks = np.multiply.reduceat(d, np.arange(0, K, _PROD_CHUNK), axis=2)
+    log_d = np.log(chunks).sum(axis=2)
     # R (u(theta_n) - u(0)); the phase R (K-T) theta_n is reduced mod 2 pi
-    # in integers
+    # in integers.  Real and imaginary parts are scaled apart, since a
+    # complex product would turn the -inf of an underflowed node into nan
     shift = (R * (K - T)[:, None] * nodes[None, :]) % N
-    w = np.exp(R * (log_d - log_d[:, :1].real) - 2j * np.pi / N * shift)
+    w = np.exp(R * (log_d.real - log_d[:, :1].real)
+               + 1j * (R * log_d.imag - 2 * np.pi / N * shift))
     w *= fold
     total = w.real.sum(axis=1)
     value = R * u0 + np.log(total / N)
     if order == 0:
         return (value,)
-    # a_k = xi~_k / (e^(i theta) + xi~_k), with d a_k / d eta_k = a_k (1 - a_k)
-    ratio = np.where(pos, 1.0, a) / d
+    # a_k = xi~_k / (e^(i theta) + xi~_k) = A_k / d_k, with
+    # d a_k / d eta_k = a_k (1 - a_k)
+    ratio = np.divide(A, d, out=d)
     w /= total[:, None]
-    grad = R * np.einsum("nm,nmk->nk", w, ratio).real
+    wr = w[:, :, None] * ratio
+    grad = R * wr.sum(axis=1).real
     if order == 1:
         return value, grad
     # R^2 E[a_j a_k] + delta_jk R E[a_k (1 - a_k)] - grad_j grad_k, with
     # R E[a_k (1 - a_k)] = grad_k - R E[a_k^2]
-    second = np.einsum("nm,nmj,nmk->njk", w, ratio, ratio).real
+    second = np.matmul(wr.transpose(0, 2, 1), ratio).real
     hess = R * R * second - grad[:, :, None] * grad[:, None, :]
     diag = np.arange(K)
     hess[:, diag, diag] += grad - R * second[:, diag, diag]

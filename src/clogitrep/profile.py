@@ -46,10 +46,14 @@ def _tau_batch(eta: np.ndarray, T: np.ndarray) -> np.ndarray:
     tau = np.log(T / (K - T))
     lo = tau - amp
     hi = tau + amp
+    # no float tau brings the residual much below slope * ulp(tau), which
+    # passes the tolerance at large |tau|; bound it over the bracket, the
+    # slope being at most K/4
+    tol = np.maximum(_TAU_RESIDUAL_TOL, K / 4 * np.spacing(np.abs(tau) + amp))
     for _ in range(_TAU_MAX_STEPS):
         p = expit(eta + tau[:, None])
         f = p.sum(axis=1) - T
-        if np.all(np.abs(f) <= _TAU_RESIDUAL_TOL):
+        if np.all(np.abs(f) <= tol):
             break
         high = f > 0.0
         hi = np.where(high, tau, hi)

@@ -131,9 +131,16 @@ def _fit(dataset: Dataset, method: str, evaluate, cfg: SolverConfig | None,
 def solve_mle(dataset: Dataset, cfg: SolverConfig | None = None,
               x0=None) -> FitResult:
     """Maximize the profile log-likelihood (ordinary logistic MLE for beta)."""
-    fit = _fit(dataset, "MLE", lambda b: profile._olr_eval(dataset, b, 2),
-               cfg, x0)
-    fit.tau = profile._dataset_taus(dataset, fit.beta_hat)
+    tau = None
+
+    def evaluate(beta):
+        nonlocal tau
+        tau = profile._dataset_taus(dataset, beta)
+        return profile._olr_eval(dataset, beta, 2, tau)
+
+    fit = _fit(dataset, "MLE", evaluate, cfg, x0)
+    # _maximize returns the point it evaluated last
+    fit.tau = tau
     return fit
 
 

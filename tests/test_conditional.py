@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+import warnings
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from clogitrep import conditional
 from clogitrep.conditional import (clr_avg_loglik, clr_rep_avg_loglik,
                                    clr_rep_score, clr_score, log_g,
                                    log_perm_normalizer)
@@ -164,6 +167,22 @@ class TestKernelVsDP:
                 np.testing.assert_allclose(got.grad_eta, w_grad, rtol=0,
                                            atol=1e-8 * R)
 
+    @pytest.mark.parametrize("K, R, T, scale", [
+        (1200, 1, 600, 0.0), (1200, 1, 600, 0.3), (300, 4, 150, 0.3)])
+    def test_long_products(self, K, R, T, scale):
+        # more factors than one product chunk holds: unchunked, the product
+        # overflows at theta = 0 and the value is nan; near theta = pi
+        # whole chunks underflow, which must weigh 0 without any warning
+        eta = np.random.default_rng(K + R).normal(scale=scale, size=(1, K))
+        want_value, want_grad = log_g_dp(eta, R, T)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = log_g(eta[0], R, T)
+        assert abs(got.value - want_value[0]) <= 1e-10 * max(
+            1.0, abs(want_value[0]))
+        np.testing.assert_allclose(got.grad_eta, want_grad[0], rtol=0,
+                                   atol=1e-8 * R)
+
     @pytest.mark.parametrize("beta", [1e4, -1e4])
     @pytest.mark.parametrize("R", [1, 50])
     def test_finite_on_separated_pairs(self, R, beta):
@@ -173,6 +192,28 @@ class TestKernelVsDP:
         ds = screen_dataset([Cluster(X, np.array([1, 0])) for _ in range(5)])
         assert np.isfinite(clr_rep_avg_loglik(ds, R, [beta]))
         assert np.all(np.isfinite(clr_rep_score(ds, R, [beta])))
+
+
+def test_kernel_memory_bounded():
+    # the full (n, N/2 + 1, K) temporaries of this batch take 120 MB each;
+    # split by rows, each stays under the kernel's 32 MB budget
+    rng = np.random.default_rng(3)
+    eta = rng.normal(size=(3000, 5))
+    T = rng.integers(1, 5, size=3000)
+    tracemalloc.start()
+    try:
+        value, grad, hess = conditional._log_g_batch(eta, 200, T, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 32 * 2**20
+    # the last rows, split off, agree with a call on them alone up to the
+    # rounding of their profile roots
+    tail = conditional._log_g_batch(eta[-5:], 200, T[-5:], 2)
+    for whole, part, scale in zip((value, grad, hess), tail,
+                                  (1.0, 200, 200**2)):
+        np.testing.assert_allclose(whole[-5:], part, rtol=1e-12,
+                                   atol=1e-10 * scale)
 
 
 class TestClrLoglik:

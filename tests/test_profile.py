@@ -94,27 +94,43 @@ def test_tau_batch_root_in_bracket(case):
     assert abs(expit(eta + tau).sum() - T) <= 1e-12
 
 
-def test_tau_batch_residual_evaluations(monkeypatch):
-    # each loop step evaluates the residual once, through one expit call
-    calls = 0
+@pytest.fixture
+def expit_calls(monkeypatch):
+    """Counts expit calls in profile: one per residual evaluation."""
+    calls = [0]
 
     def counted(x):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return expit(x)
 
     monkeypatch.setattr(profile, "expit", counted)
+    return calls
+
+
+def test_tau_batch_residual_evaluations(expit_calls):
     rng = np.random.default_rng(7)
     worst = 0
     for _ in range(200):
         K = int(rng.integers(2, 9))
         T = int(rng.integers(1, K))
         eta = rng.normal(scale=2.0, size=(1, K))
-        calls = 0
+        expit_calls[0] = 0
         tau = profile._tau_batch(eta, np.array([T]))[0]
         assert abs(expit(eta[0] + tau).sum() - T) <= 1e-12
-        worst = max(worst, calls)
+        worst = max(worst, expit_calls[0])
     assert worst <= 10
+
+
+def test_tau_batch_stops_at_rounding_floor(expit_calls):
+    # at |tau| ~ 1e5 rounding keeps the residual near 4e-12, above the
+    # tolerance; the loop used to run to its cap of 100 steps.  Sixteen
+    # halvings of the 2e5-wide bracket come before Newton takes over.
+    eta = np.array([1e5, 1e5 + 0.3, -1e5])
+    tau = profile._tau_batch(eta[None, :], np.array([1]))[0]
+    assert expit_calls[0] <= 20
+    p = expit(eta + tau)
+    floor = (p * (1.0 - p)).sum() * np.spacing(abs(tau))
+    assert abs(p.sum() - 1) <= floor
 
 
 class TestOlrAvgLoglik:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -77,15 +78,33 @@ def test_one_derivative_call_per_iterate(monkeypatch, module, name, solver):
     # no step on this fixture backtracks, so each iterate is one trial point
     calls = []
     original = getattr(module, name)
+    signature = inspect.signature(original)
 
-    def counted(dataset, *args):
-        calls.append(args[-1])
-        return original(dataset, *args)
+    def counted(*args):
+        calls.append(signature.bind(*args).arguments["order"])
+        return original(*args)
 
     monkeypatch.setattr(module, name, counted)
     fit = solver(random_matched_pairs(41, n_pairs=30))
     assert fit.iterations >= 1
     assert calls == [2] * (fit.iterations + 1)
+
+
+def test_mle_reuses_roots_of_accepted_point(monkeypatch):
+    # one root pass per objective call: FitResult.tau comes from the last
+    # one rather than from a pass of its own at beta_hat
+    dataset_taus = profile._dataset_taus
+    counts = {"_olr_eval": 0, "_dataset_taus": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(profile, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(profile, name, counted)
+    ds = random_five_sets(41)
+    fit = solve_mle(ds)
+    assert counts["_dataset_taus"] == counts["_olr_eval"] == fit.iterations + 1
+    np.testing.assert_array_equal(fit.tau, dataset_taus(ds, fit.beta_hat))
 
 
 @pytest.mark.parametrize("R", [None, 1, 10, 100])
