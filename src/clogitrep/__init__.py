@@ -8,10 +8,9 @@ approaches the profile likelihood as R grows.
 """
 
 from .conditional import (LogNormalizer, clr_avg_loglik, clr_rep_avg_loglik,
-                          clr_rep_score, clr_score, log_g,
-                          log_perm_normalizer)
-from .data import (Cluster, DataError, Dataset, FitResult, Parameters,
-                   read_csv, screen_dataset)
+                          clr_rep_score, clr_score, log_g)
+from .data import (Cluster, DataError, Dataset, FitResult, read_csv,
+                   screen_dataset)
 from .profile import (olr_avg_loglik, olr_profile_score, profile_loglik,
                       profile_tau)
 from .saddle import (QuadratureError, SaddleDiagnostics, contour_integral_g,
@@ -22,10 +21,10 @@ from .solve import (RelationReport, SolverConfig, SolverError, solve_cmle,
                     verify_pair_identity)
 
 __all__ = [
-    "Cluster", "Dataset", "Parameters", "FitResult", "DataError",
+    "Cluster", "Dataset", "FitResult", "DataError",
     "screen_dataset", "read_csv",
     "profile_tau", "olr_avg_loglik", "profile_loglik", "olr_profile_score",
-    "LogNormalizer", "log_perm_normalizer", "clr_avg_loglik", "clr_score",
+    "LogNormalizer", "clr_avg_loglik", "clr_score",
     "log_g", "clr_rep_avg_loglik", "clr_rep_score",
     "SolverConfig", "SolverError", "RelationReport",
     "solve_mle", "solve_cmle", "solve_cmle_replicated",

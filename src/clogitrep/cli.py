@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 input error, 2 numerical/solver failure.  Every run
 that writes an output file also writes `<out>.manifest.json` recording the
-command line, configuration, seed, package version, and wall-clock runtime.
+command line, configuration, seed, package version, wall-clock runtime, the
+seconds of each phase (`read_s`, then `solve_s` or `diagnose_s`), the
+Python, numpy and scipy versions and the CPU count.
 Set CLOGIT_LOG to error|info|debug for verbosity.
 """
 
@@ -14,11 +16,13 @@ import io
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
+import scipy
 
 from .data import DataError, read_csv
 from .saddle import QuadratureError, rate_limit_check
@@ -41,13 +45,18 @@ def _package_version() -> str:
 
 
 def _write_manifest(out_path: str, args: argparse.Namespace,
-                    t_start: float) -> None:
+                    t_start: float, **phases: float) -> None:
     manifest = {
         "argv": sys.argv,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": getattr(args, "seed", None),
         "version": _package_version(),
         "runtime_seconds": time.time() - t_start,
+        **phases,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
     }
     with open(out_path + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
@@ -89,6 +98,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 def cmd_fit(args: argparse.Namespace) -> int:
     t0 = time.time()
     dataset = read_csv(args.input)
+    read_s = time.time() - t0
     log.info("read %d discordant clusters (%d concordant dropped)",
              dataset.n_clusters, dataset.dropped_concordant)
     cfg = SolverConfig(grad_tol=args.tol, max_iter=args.max_iter)
@@ -100,6 +110,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if args.replications is None:
             raise DataError("--replications is required with method cmle-r")
         fit = solve_cmle_replicated(dataset, args.replications, cfg)
+    solve_s = time.time() - t0 - read_s
 
     p = len(fit.beta_hat)
     if args.format == "json":
@@ -135,7 +146,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     if args.out:
-        _write_manifest(args.out, args, t0)
+        _write_manifest(args.out, args, t0, read_s=read_s, solve_s=solve_s)
     return EXIT_OK
 
 
@@ -166,6 +177,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     t0 = time.time()
     dataset = read_csv(args.input)
+    read_s = time.time() - t0
     beta = np.array(_parse_float_list(args.beta, "--beta"))
     if beta.shape[0] != dataset.n_covariates:
         raise DataError(f"--beta has {beta.shape[0]} entries but the CSV "
@@ -175,18 +187,21 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     w = csv.writer(buf)
     w.writerow(["cluster", "tau", "u0", "uprime0_abs", "R", "rate", "gap",
                 "quad_rel_err"])
-    for j, c in enumerate(dataset.clusters):
-        eta = c.linear_predictors(beta)
-        diag = rate_limit_check(eta, c.outcome_sum, r_grid,
+    # the clusters in dataset order; j is unique, so no block is compared
+    for j, i, block in sorted((j, i, b) for b in dataset.blocks
+                              for i, j in enumerate(b.index.tolist())):
+        diag = rate_limit_check(block.X[i] @ beta, int(block.T[i]), r_grid,
                                 quadrature_max_r=args.quadrature_max_r)
         quad = dict(diag.quadrature_vs_dp)
         for R, rate, gap in zip(diag.r_grid, diag.exact_rates, diag.gaps):
             w.writerow([j, repr(diag.tau), repr(diag.u0),
                         repr(diag.u_prime0_abs), R, repr(rate), repr(gap),
                         repr(quad[R]) if R in quad else ""])
+    diagnose_s = time.time() - t0 - read_s
     _emit(buf.getvalue(), args.out)
     if args.out:
-        _write_manifest(args.out, args, t0)
+        _write_manifest(args.out, args, t0, read_s=read_s,
+                        diagnose_s=diagnose_s)
     return EXIT_OK
 
 

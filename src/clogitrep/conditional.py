@@ -39,7 +39,6 @@ from .data import DataError, Dataset
 
 __all__ = [
     "LogNormalizer",
-    "log_perm_normalizer",
     "clr_avg_loglik",
     "clr_score",
     "log_g",
@@ -143,7 +142,12 @@ def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
 
 
 def log_g(eta, R: int, T: int) -> LogNormalizer:
-    """Log of the replicated normalizer g(eta, R, T) and its eta-gradient."""
+    """Log of the replicated normalizer g(eta, R, T) and its eta-gradient.
+
+    At R = 1, g is the sum over outcome vectors with total T, and
+    grad_eta[k] is the conditional probability that individual k's outcome
+    is 1 given the total.
+    """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     R, T, K = int(R), int(T), eta.shape[0]
     if R < 1:
@@ -157,15 +161,6 @@ def log_g(eta, R: int, T: int) -> LogNormalizer:
                              grad_eta=np.full(K, float(R)))
     value, grad = _log_g_batch(eta[None, :], R, T, 1)
     return LogNormalizer(value=float(value[0]), grad_eta=grad[0])
-
-
-def log_perm_normalizer(eta, T: int) -> LogNormalizer:
-    """Log of the sum over outcome vectors with total T, plus its gradient.
-
-    grad_eta[k] is the conditional probability that individual k's outcome
-    is 1 given the total; entries lie in [0, 1] and sum to T.
-    """
-    return log_g(eta, 1, T)
 
 
 # ---------------------------------------------------------------------------

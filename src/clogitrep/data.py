@@ -3,12 +3,18 @@
 A cluster is a matched set of individuals sharing one nuisance intercept.
 Clusters whose outcomes are all 0 or all 1 (concordant) carry no information
 about the covariate effects and are removed at screening.
+
+Every Dataset is packed by `Dataset.from_arrays`, which screens one row per
+individual in numpy and stacks one SizeBlock per cluster size, a Dataset's
+only storage.  `read_csv` streams a file into it in one csv pass, converting
+_CHUNK_ROWS rows at a time; `screen_dataset` concatenates Clusters into it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -17,16 +23,34 @@ __all__ = [
     "Cluster",
     "Dataset",
     "SizeBlock",
-    "Parameters",
     "FitResult",
     "DataError",
     "screen_dataset",
     "read_csv",
 ]
 
+# rows that read_csv holds as strings before converting them; larger chunks
+# raise the read's peak memory and are no faster
+_CHUNK_ROWS = 1024
+
 
 class DataError(ValueError):
     """Malformed or degenerate input data."""
+
+
+def _checked_rows(X, y):
+    """X as float and y as int, once X is n x P with P >= 1 and finite
+    entries and y holds n outcomes, each 0 or 1."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y)
+    if X.ndim != 2 or X.shape[1] < 1 or y.shape != X.shape[:1]:
+        raise DataError("covariates must be an n x P matrix with P >= 1 "
+                        "and outcomes a vector of length n")
+    if not np.all(np.isfinite(X)):
+        raise DataError("covariate entries must be finite")
+    # checked before the cast to int, which would turn 0.7 into 0
+    if not np.all((y == 0) | (y == 1)):
+        raise DataError("outcomes must be 0 or 1")
+    return X, y.astype(int)
 
 
 @dataclass(frozen=True)
@@ -37,19 +61,11 @@ class Cluster:
     outcomes: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.covariates, dtype=float)
-        y = np.asarray(self.outcomes)
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-            raise DataError("covariates must be a K x P matrix with K, P >= 1")
-        if y.shape != (X.shape[0],):
-            raise DataError("outcomes length must match covariate rows")
-        if not np.all(np.isfinite(X)):
-            raise DataError("covariate entries must be finite")
-        # checked before the cast to int, which would turn 0.7 into 0
-        if not np.all((y == 0) | (y == 1)):
-            raise DataError("outcomes must be 0 or 1")
+        X, y = _checked_rows(self.covariates, self.outcomes)
+        if X.shape[0] < 1:
+            raise DataError("a cluster needs at least one individual")
         object.__setattr__(self, "covariates", X)
-        object.__setattr__(self, "outcomes", y.astype(int))
+        object.__setattr__(self, "outcomes", y)
 
     @property
     def size(self) -> int:
@@ -75,7 +91,7 @@ class Cluster:
 class SizeBlock(NamedTuple):
     """The clusters of one size K, stacked in dataset order."""
 
-    index: np.ndarray  # (n,) positions in Dataset.clusters
+    index: np.ndarray  # (n,) positions of the clusters in the dataset
     X: np.ndarray      # (n, K, P) covariates
     y: np.ndarray      # (n, K) outcomes
     T: np.ndarray      # (n,) outcome sums
@@ -83,62 +99,59 @@ class SizeBlock(NamedTuple):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Screened collection of discordant clusters, also packed into one
-    SizeBlock per cluster size, in order of first appearance."""
+    """Screened discordant clusters, packed into one SizeBlock per cluster
+    size in order of first appearance.  Built by `from_arrays`."""
 
-    clusters: tuple[Cluster, ...]
+    blocks: tuple[SizeBlock, ...]
     dropped_concordant: int = 0
-    blocks: tuple[SizeBlock, ...] = field(init=False, repr=False,
-                                          compare=False)
-    n_individuals: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "clusters", tuple(self.clusters))
-        if not self.clusters:
+    @classmethod
+    def from_arrays(cls, cluster_index, y, X,
+                    dropped_concordant: int = 0) -> Dataset:
+        """Validate n rows, drop the concordant clusters and pack the rest.
+
+        Row i has cluster label cluster_index[i], outcome y[i] in {0, 1} and
+        finite covariates X[i] (X is n x P).  Clusters keep the order in
+        which their labels first appear, rows their input order.  Raises
+        DataError on invalid rows or when no discordant cluster is left.
+        """
+        X, y = _checked_rows(X, y)
+        if np.shape(cluster_index) != y.shape:
+            raise DataError("expected one cluster label per row")
+        # clusters numbered by first appearance
+        _, first, code = np.unique(cluster_index, return_index=True,
+                                   return_inverse=True)
+        code = np.argsort(np.argsort(first))[code]
+        sizes = np.bincount(code)
+        sums = np.bincount(code, weights=y)
+        keep = (sums > 0) & (sums < sizes)
+        if not keep.any():
             raise DataError("no discordant clusters; estimators undefined")
-        widths = {c.n_covariates for c in self.clusters}
-        if len(widths) != 1:
-            raise DataError("all clusters must have the same covariate width")
-        for c in self.clusters:
-            if c.is_concordant:
-                raise DataError("Dataset may only contain discordant clusters; "
-                                "use screen_dataset")
-        sizes = np.array([c.size for c in self.clusters])
+        # the kept rows, cluster by cluster
+        rows = np.argsort(code, kind="stable")
+        rows = rows[keep[code[rows]]]
+        X, y, sizes = X[rows], y[rows], sizes[keep]
+        start = np.cumsum(sizes) - sizes
         blocks = []
         for K in dict.fromkeys(sizes.tolist()):
-            idx = np.flatnonzero(sizes == K)
-            y = np.stack([self.clusters[j].outcomes for j in idx])
-            X = np.stack([self.clusters[j].covariates for j in idx])
-            blocks.append(SizeBlock(idx, X, y, y.sum(axis=1)))
-        object.__setattr__(self, "blocks", tuple(blocks))
-        object.__setattr__(self, "n_individuals", int(sizes.sum()))
+            index = np.flatnonzero(sizes == K)
+            take = start[index][:, None] + np.arange(K)
+            yb = y[take]
+            blocks.append(SizeBlock(index, X[take], yb, yb.sum(axis=1)))
+        return cls(tuple(blocks),
+                   dropped_concordant + int(keep.size - keep.sum()))
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return sum(b.index.shape[0] for b in self.blocks)
+
+    @property
+    def n_individuals(self) -> int:
+        return sum(b.y.size for b in self.blocks)
 
     @property
     def n_covariates(self) -> int:
-        return self.clusters[0].n_covariates
-
-
-@dataclass(frozen=True)
-class Parameters:
-    """Covariate effects plus optional per-cluster intercepts."""
-
-    beta: np.ndarray
-    cluster_effects: np.ndarray | None = None
-
-    def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        if not np.all(np.isfinite(b)):
-            raise DataError("beta entries must be finite")
-        object.__setattr__(self, "beta", b)
-        if self.cluster_effects is not None:
-            ce = np.atleast_1d(np.asarray(self.cluster_effects, dtype=float))
-            if not np.all(np.isfinite(ce)):
-                raise DataError("cluster effects must be finite")
-            object.__setattr__(self, "cluster_effects", ce)
+        return self.blocks[0].X.shape[2]
 
 
 @dataclass
@@ -159,34 +172,86 @@ class FitResult:
 def screen_dataset(clusters, dropped_concordant: int = 0) -> Dataset:
     """Drop concordant clusters and build a Dataset over the remainder.
 
-    Accepts an iterable of Cluster (or an existing Dataset, which is
-    re-screened as a no-op).  Raises DataError if nothing survives.
+    Accepts an iterable of Cluster or (covariates, outcomes) pairs, or an
+    existing Dataset, which is re-screened as a no-op.  Raises DataError if
+    nothing survives.
     """
     if isinstance(clusters, Dataset):
-        source = clusters.clusters
-        dropped_concordant += clusters.dropped_concordant
-    else:
-        source = list(clusters)
-    kept = []
-    for c in source:
-        if not isinstance(c, Cluster):
-            c = Cluster(np.asarray(c[0]), np.asarray(c[1]))
-        if c.is_concordant:
-            dropped_concordant += 1
-        else:
-            kept.append(c)
-    # Dataset raises DataError when nothing is kept
-    return Dataset(tuple(kept), dropped_concordant)
+        return replace(clusters, dropped_concordant=dropped_concordant
+                       + clusters.dropped_concordant)
+    source = [c if isinstance(c, Cluster) else Cluster(c[0], c[1])
+              for c in clusters]
+    if len({c.n_covariates for c in source}) > 1:
+        raise DataError("all clusters must have the same covariate width")
+    # an empty source leaves from_arrays no discordant cluster
+    return Dataset.from_arrays(
+        np.repeat(np.arange(len(source)), [c.size for c in source]),
+        np.concatenate([c.outcomes for c in source] or [np.zeros(0)]),
+        np.concatenate([c.covariates for c in source] or [np.zeros((0, 1))]),
+        dropped_concordant)
+
+
+def _blank(row) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _columns(rows, width: int):
+    """The cluster ids, outcomes and covariates of a chunk of csv rows,
+    converted column by column, or None if any row fails a check."""
+    if {len(row) for row in rows} != {width}:
+        rows = [row for row in rows if not _blank(row)]
+        if {len(row) for row in rows} != {width}:
+            return None
+    ids, y, *x = zip(*rows)
+    try:
+        y, x = list(map(int, y)), np.array(x, dtype=float).T
+    except ValueError:
+        return None
+    return (ids, y, x) if {*y} <= {0, 1} and np.isfinite(x).all() else None
+
+
+def _scan(path, rows, first: int, width: int):
+    """Check a chunk of csv rows line by line, the first at line `first`.
+
+    Raises DataError at the first bad line; else returns the cluster ids,
+    outcomes and covariates of the rows that are not blank.
+    """
+    ids, outcomes, covariates = [], [], []
+    for line, row in enumerate(rows, first):
+        where = f"{path}: line {line}:"
+        if len(row) != width:
+            if _blank(row):
+                continue
+            raise DataError(f"{where} expected {width} fields, got {len(row)}")
+        try:
+            y = int(row[1])
+        except ValueError:
+            raise DataError(f"{where} outcome '{row[1]}' is not an "
+                            "integer") from None
+        if y not in (0, 1):
+            raise DataError(f"{where} outcome must be 0 or 1")
+        try:
+            x = np.array(row[2:], dtype=float)
+        except ValueError:
+            raise DataError(f"{where} malformed covariate value") from None
+        if not np.isfinite(x).all():
+            raise DataError(f"{where} covariate value is not finite")
+        ids.append(row[0])
+        outcomes.append(y)
+        covariates.append(x)
+    return ids, outcomes, np.array(covariates).reshape(-1, width - 2)
 
 
 def read_csv(path) -> Dataset:
     """Read `cluster_id,y,x1,...,xP` rows, group by cluster id, and screen.
 
-    Rows are grouped by cluster_id in first-appearance order; input order is
-    preserved within each cluster.  Parse errors report the 1-based line
-    number.
+    Rows are grouped by cluster_id, stripped of padding, in first-appearance
+    order; input order is preserved within each cluster.  The file is read
+    in one pass, _CHUNK_ROWS rows at a time: a chunk is converted column by
+    column, and one that fails any check is checked line by line, so that
+    errors report the 1-based line number of the first bad line.
     """
-    groups: dict[str, list[tuple[int, list[float]]]] = {}
+    names, codes, outcomes, chunks = {}, [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -197,32 +262,15 @@ def read_csv(path) -> Dataset:
         if len(header) < 3 or header[0] != "cluster_id" or header[1] != "y":
             raise DataError(f"{path}: line 1: expected header "
                             "'cluster_id,y,x1,...,xP'")
-        p = len(header) - 2
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != p + 2:
-                raise DataError(f"{path}: line {lineno}: expected {p + 2} "
-                                f"fields, got {len(row)}")
-            cid = row[0].strip()
-            try:
-                y = int(row[1])
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: outcome '{row[1]}' "
-                                "is not an integer") from None
-            if y not in (0, 1):
-                raise DataError(f"{path}: line {lineno}: outcome must be 0 or 1")
-            try:
-                x = [float(v) for v in row[2:]]
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: malformed covariate "
-                                "value") from None
-            groups.setdefault(cid, []).append((y, x))
-    if not groups:
+        for first in itertools.count(2, _CHUNK_ROWS):
+            rows = list(itertools.islice(reader, _CHUNK_ROWS))
+            if not rows:
+                break
+            ids, y, x = (_columns(rows, len(header))
+                         or _scan(path, rows, first, len(header)))
+            codes += [names.setdefault(i.strip(), len(names)) for i in ids]
+            outcomes += y
+            chunks.append(x)
+    if not codes:
         raise DataError(f"{path}: no data rows")
-    clusters = []
-    for cid, rows in groups.items():
-        y = np.array([r[0] for r in rows], dtype=int)
-        X = np.array([r[1] for r in rows], dtype=float)
-        clusters.append(Cluster(covariates=X, outcomes=y))
-    return screen_dataset(clusters)
+    return Dataset.from_arrays(codes, outcomes, np.concatenate(chunks))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .data import Cluster, DataError, Dataset, Parameters
+from .data import Cluster, DataError, Dataset
 
 __all__ = [
     "profile_tau",
@@ -117,15 +117,16 @@ def _olr_eval(dataset: Dataset, beta, order: int, cluster_effects=None):
     return (value / N, score / N, hess / N)[:order + 1]
 
 
-def olr_avg_loglik(dataset: Dataset, params: Parameters) -> float:
-    """Average ordinary-logistic log-likelihood at (beta, cluster effects)."""
-    if params.cluster_effects is None:
-        raise DataError("cluster_effects required (one intercept per cluster)")
-    b = params.cluster_effects
+def olr_avg_loglik(dataset: Dataset, beta, cluster_effects) -> float:
+    """Average ordinary-logistic log-likelihood at beta and one intercept
+    per cluster, in dataset order."""
+    b = np.asarray(cluster_effects, dtype=float)
     if b.shape != (dataset.n_clusters,):
         raise DataError(f"expected {dataset.n_clusters} cluster effects, "
                         f"got {b.shape}")
-    return _olr_eval(dataset, params.beta, 0, b)[0]
+    if not (np.all(np.isfinite(beta)) and np.all(np.isfinite(b))):
+        raise DataError("beta and cluster effects must be finite")
+    return _olr_eval(dataset, beta, 0, b)[0]
 
 
 def profile_loglik(dataset: Dataset, beta) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .data import Cluster, DataError, Dataset, screen_dataset
+from .data import DataError, Dataset
 from .solve import SolverConfig, SolverError, solve_cmle_replicated, solve_mle
 
 __all__ = [
@@ -103,7 +103,8 @@ class SimulationSummary:
 
 
 def generate_dataset(cfg: SimConfig, replicate_index: int) -> Dataset:
-    """One screened dataset from the matched treatment-control design."""
+    """One screened dataset from the matched treatment-control design,
+    packed from the flattened (J, K) draws by `Dataset.from_arrays`."""
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, replicate_index]))
     J, K = cfg.J, cfg.K
@@ -115,9 +116,8 @@ def generate_dataset(cfg: SimConfig, replicate_index: int) -> Dataset:
     b = delta - 5.0 * x1.mean(axis=1) + 3.0 * x2.mean(axis=1)
     p = expit(b[:, None] + cfg.beta_true[0] * x1 + cfg.beta_true[1] * x2)
     y = (u < p).astype(int)
-    clusters = [Cluster(covariates=np.column_stack([x1[j], x2[j]]),
-                        outcomes=y[j]) for j in range(J)]
-    return screen_dataset(clusters)
+    X = np.stack([x1, x2], axis=2).reshape(J * K, 2)
+    return Dataset.from_arrays(np.repeat(np.arange(J), K), y.ravel(), X)
 
 
 def _fit_replicate(cfg: SimConfig, index: int):

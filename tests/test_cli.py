@@ -71,6 +71,10 @@ class TestFit:
         manifest = json.loads(open(out + ".manifest.json").read())
         assert manifest["config"]["method"] == "mle"
         assert "runtime_seconds" in manifest
+        assert manifest["read_s"] >= 0.0 and manifest["solve_s"] >= 0.0
+        assert manifest["python"].count(".") == 2
+        assert manifest["numpy"] and manifest["scipy"]
+        assert manifest["cpu_count"] >= 1
 
     def test_missing_replications_is_input_error(self, pair_csv, capsys):
         rc = main(["fit", "--input", pair_csv, "--method", "cmle-r"])
@@ -148,7 +152,8 @@ class TestAsymptotics:
                    "--r-grid", "1,2", "--out", out])
         assert rc == EXIT_OK
         assert open(out).readline().startswith("cluster,tau,u0")
-        assert json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["read_s"] >= 0.0 and manifest["diagnose_s"] >= 0.0
 
 
 def test_console_script_installed():

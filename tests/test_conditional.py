@@ -9,12 +9,12 @@ from scipy.special import gammaln
 
 from clogitrep import conditional
 from clogitrep.conditional import (clr_avg_loglik, clr_rep_avg_loglik,
-                                   clr_rep_score, clr_score, log_g,
-                                   log_perm_normalizer)
+                                   clr_rep_score, clr_score, log_g)
 from clogitrep.data import Cluster, DataError, screen_dataset
 from clogitrep.profile import profile_loglik
 from conftest import random_cluster_eta, random_matched_pairs
 from dp_oracle import log_g_dp
+from packing_oracle import unpack
 
 
 def log_comb(n, k):
@@ -52,29 +52,29 @@ def enumerate_log_g(eta, R, T):
 
 class TestLogPermNormalizer:
     def test_uniform_k3_t2(self):
-        r = log_perm_normalizer(np.zeros(3), 2)
+        r = log_g(np.zeros(3), 1, 2)
         assert r.value == pytest.approx(math.log(3), abs=1e-12)
         np.testing.assert_allclose(r.grad_eta, 2 / 3, atol=1e-12)
 
     def test_k2_t1_weighted(self):
-        r = log_perm_normalizer([math.log(2), 0.0], 1)
+        r = log_g([math.log(2), 0.0], 1, 1)
         assert r.value == pytest.approx(math.log(3), abs=1e-12)
         np.testing.assert_allclose(r.grad_eta, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_t_zero(self):
-        r = log_perm_normalizer(np.array([0.4, -1.2]), 0)
+        r = log_g(np.array([0.4, -1.2]), 1, 0)
         assert r.value == 0.0
         np.testing.assert_array_equal(r.grad_eta, 0.0)
 
     def test_t_out_of_range(self):
         with pytest.raises(DataError):
-            log_perm_normalizer(np.zeros(2), 3)
+            log_g(np.zeros(2), 1, 3)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         eta, T = random_cluster_eta(rng)
-        r = log_perm_normalizer(eta, T)
+        r = log_g(eta, 1, T)
         val, grad = enumerate_perm_normalizer(eta, T)
         assert r.value == pytest.approx(val, rel=1e-12)
         np.testing.assert_allclose(r.grad_eta, grad, atol=1e-12)
@@ -87,7 +87,7 @@ class TestLogPermNormalizer:
         K = int(rng.integers(2, 6))
         T = int(rng.integers(1, K))
         eta = rng.normal(size=K)
-        norm = log_perm_normalizer(eta, T).value
+        norm = log_g(eta, 1, T).value
         total = sum(math.exp(eta[list(ones)].sum() - norm)
                     for ones in combinations(range(K), T))
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -99,9 +99,9 @@ class TestLogG:
         for _ in range(10):
             eta, T = random_cluster_eta(rng)
             g = log_g(eta, 1, T)
-            p = log_perm_normalizer(eta, T)
-            assert g.value == pytest.approx(p.value, rel=1e-12)
-            np.testing.assert_allclose(g.grad_eta, p.grad_eta, atol=1e-10)
+            value, grad = enumerate_perm_normalizer(eta, T)
+            assert g.value == pytest.approx(value, rel=1e-12)
+            np.testing.assert_allclose(g.grad_eta, grad, atol=1e-10)
 
     def test_k2_t1_r2(self):
         g = log_g(np.zeros(2), 2, 1)
@@ -245,7 +245,7 @@ class TestClrLoglik:
         beta = rng.normal(size=2)
         shifted = screen_dataset([
             Cluster(c.covariates + rng.normal(size=2), c.outcomes)
-            for c in ds.clusters])
+            for c in unpack(ds)])
         assert clr_avg_loglik(shifted, beta) == pytest.approx(
             clr_avg_loglik(ds, beta), abs=1e-12)
         np.testing.assert_allclose(clr_score(shifted, beta),
@@ -337,7 +337,7 @@ class TestReplicatedLoglik:
         beta = rng.normal(size=2)
         shifted = screen_dataset([
             Cluster(c.covariates + rng.normal(size=2), c.outcomes)
-            for c in ds.clusters])
+            for c in unpack(ds)])
         for R in (2, 5):
             assert clr_rep_avg_loglik(shifted, R, beta) == pytest.approx(
                 clr_rep_avg_loglik(ds, R, beta), abs=1e-12)

@@ -1,7 +1,16 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clogitrep import data
 from clogitrep.data import Cluster, DataError, Dataset, read_csv, screen_dataset
+from clogitrep.simulate import SimConfig, generate_dataset
+from packing_oracle import (assert_packed_like, csv_clusters,
+                            simulated_clusters, unpack)
 
 
 def make_cluster(ys):
@@ -51,7 +60,7 @@ class TestScreening:
 
     def test_dataset_rejects_concordant_directly(self):
         with pytest.raises(DataError):
-            Dataset(clusters=(make_cluster([1, 1]),))
+            Dataset.from_arrays([0, 0], [1, 1], [[0.0], [1.0]])
 
     def test_blocks_pack_each_size_in_order(self):
         clusters = [make_cluster([1, 0, 0]), make_cluster([0, 1]),
@@ -77,7 +86,7 @@ class TestCsvReader:
         ds = read_csv(path)
         assert ds.n_clusters == 2
         assert ds.dropped_concordant == 1
-        assert ds.clusters[0].covariates[0, 0] == 1.0
+        assert unpack(ds)[0].covariates[0, 0] == 1.0
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -96,3 +105,131 @@ class TestCsvReader:
         path.write_text("cluster_id,y,x1\na,2,1.0\n")
         with pytest.raises(DataError, match="line 2"):
             read_csv(path)
+
+    def test_reads_and_groups_like_oracle(self, tmp_path):
+        # interleaved ids, mixed sizes, blank lines, quoting and padding
+        path = tmp_path / "d.csv"
+        path.write_text('cluster_id, y ,x1,x2\n'
+                        'a,1,1.0,2\n'
+                        ' b ,0, 0.5 ,-1\n'
+                        '"a",0,"2.5",3e-1\n'
+                        '\n'
+                        'c, 1,1_000,0\n'
+                        'b,1,-0.0,4\n'
+                        '"c",0,7,8\n'
+                        'd,1,1,1\n'
+                        '  \n'
+                        'a,0,-3,9.5\n'
+                        'c,1,0.25,0.125\n'
+                        'e,0,1,2\ne,1,3,4\n')
+        ds = read_csv(path)
+        assert [b.index.tolist() for b in ds.blocks] == [[0, 2], [1, 3]]
+        assert ds.blocks[0].X[1, 0, 0] == 1000.0
+        assert_packed_like(ds, csv_clusters(path))
+
+    def test_error_in_second_chunk_reports_line(self, tmp_path):
+        n = data._CHUNK_ROWS + 200
+        lines = ["cluster_id,y,x1"] + [f"c{i // 2},{i % 2},{i * 0.5}"
+                                       for i in range(n)]
+        # line _CHUNK_ROWS + 11, in the second chunk, is blank
+        lines.insert(data._CHUNK_ROWS + 10, "")
+        bad = data._CHUNK_ROWS + 57  # a later line of the second chunk
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert_packed_like(read_csv(path), csv_clusters(path))
+        lines[bad - 1] = lines[bad - 1] + "x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"line {bad}: malformed"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_nonfinite_covariate_reports_line(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        path.write_text(f"cluster_id,y,x1\na,1,1.0\na,0,{value}\n")
+        with pytest.raises(DataError, match="line 3: covariate value is not "
+                                            "finite"):
+            read_csv(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # a covariate error held for conversion precedes a later outcome error
+        path = tmp_path / "d.csv"
+        path.write_text("cluster_id,y,x1\na,1,1.0\na,0,oops\nb,7,1.0\n")
+        with pytest.raises(DataError, match="line 3: malformed"):
+            read_csv(path)
+
+    def test_outcome_not_integer(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("cluster_id,y,x1\na,1,1.0\na,0.5,0.0\n")
+        with pytest.raises(DataError, match="line 3: outcome '0.5' is not an "
+                                            "integer"):
+            read_csv(path)
+
+    def test_outcome_not_binary(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("cluster_id,y,x1\na,1,1.0\na,-1,0.0\n")
+        with pytest.raises(DataError, match="line 3: outcome must be 0 or 1"):
+            read_csv(path)
+
+    def test_outcome_uses_int_semantics(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("cluster_id,y,x1\na, 1,1.0\na,+0 ,0.0\n")
+        ds = read_csv(path)
+        assert ds.blocks[0].y.tolist() == [[1, 0]]
+
+    def test_field_count_reports_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("cluster_id,y,x1\na,1,1.0\na,0\n")
+        with pytest.raises(DataError, match="line 3: expected 3 fields, got 2"):
+            read_csv(path)
+
+
+class TestPackingOracle:
+    @pytest.mark.parametrize("J,K,seed", [(100, 3, 0), (40, 5, 3), (60, 2, 7)])
+    def test_generate_dataset(self, J, K, seed):
+        cfg = SimConfig(J=J, K=K, seed=seed)
+        for index in range(3):
+            assert_packed_like(generate_dataset(cfg, index),
+                               simulated_clusters(cfg, index))
+
+    def test_screen_dataset_of_pairs_and_dataset(self):
+        clusters = [make_cluster([1, 0, 0]), make_cluster([1, 1]),
+                    make_cluster([0, 1])]
+        ds = screen_dataset([(c.covariates, c.outcomes) for c in clusters], 2)
+        assert_packed_like(ds, clusters, 2)
+        assert_packed_like(screen_dataset(ds, 1), clusters, 3)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=6),
+                    min_size=1, max_size=12),
+           st.randoms(use_true_random=False))
+    def test_random_layouts(self, layouts, rnd):
+        """Clusters of random sizes and outcomes, rows interleaved at random:
+        read_csv, from_arrays and screen_dataset all pack like the oracle."""
+        clusters = [Cluster(np.arange(len(ys) * 2.0).reshape(-1, 2) + 10 * j,
+                            np.array(ys)) for j, ys in enumerate(layouts)]
+        labels = rnd.sample(range(10**6), len(clusters))
+        # a random interleaving that keeps each cluster's rows in order
+        order = [j for j, c in enumerate(clusters) for _ in range(c.size)]
+        rnd.shuffle(order)
+        seen = [0] * len(clusters)
+        rows = []
+        for j in order:
+            rows.append((labels[j], clusters[j].outcomes[seen[j]],
+                         clusters[j].covariates[seen[j]]))
+            seen[j] += 1
+        by_appearance = [clusters[j] for j in dict.fromkeys(order)]
+        if all(c.is_concordant for c in clusters):
+            with pytest.raises(DataError, match="no discordant"):
+                screen_dataset(clusters)
+            return
+        assert_packed_like(screen_dataset(clusters), clusters)
+        assert_packed_like(Dataset.from_arrays(
+            [r[0] for r in rows], [r[1] for r in rows],
+            np.array([r[2] for r in rows])), by_appearance)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            with open(path, "w") as fh:
+                fh.write("cluster_id,y,x1,x2\n")
+                for label, y, x in rows:
+                    fh.write(f"id{label},{y},{float(x[0])!r},{float(x[1])!r}\n")
+            assert_packed_like(read_csv(path), by_appearance)

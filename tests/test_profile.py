@@ -9,10 +9,11 @@ from scipy.optimize import brentq
 from scipy.special import expit
 
 from clogitrep import profile
-from clogitrep.data import Cluster, DataError, Parameters, screen_dataset
+from clogitrep.data import Cluster, DataError, screen_dataset
 from clogitrep.profile import (olr_avg_loglik, olr_profile_score,
                                profile_loglik, profile_tau)
 from conftest import random_matched_pairs
+from packing_oracle import unpack
 
 
 def bisect_tau(eta, T):
@@ -135,24 +136,21 @@ def test_tau_batch_stops_at_rounding_floor(expit_calls):
 
 class TestOlrAvgLoglik:
     def test_all_zero(self, matched_pair_dataset):
-        params = Parameters(beta=[0.0],
-                            cluster_effects=np.zeros(4))
-        assert olr_avg_loglik(matched_pair_dataset, params) == pytest.approx(
-            -math.log(2), abs=1e-14)
+        assert olr_avg_loglik(matched_pair_dataset, [0.0],
+                              np.zeros(4)) == pytest.approx(-math.log(2),
+                                                            abs=1e-14)
 
     def test_single_cluster_value(self):
         ds = screen_dataset([Cluster(np.array([[1.0], [-1.0]]),
                                      np.array([1, 0]))])
-        val = olr_avg_loglik(ds, Parameters(beta=[1.0],
-                                            cluster_effects=np.zeros(1)))
+        val = olr_avg_loglik(ds, [1.0], np.zeros(1))
         expected = 0.5 * (1 - math.log(1 + math.e) - math.log(1 + 1 / math.e))
         assert val == pytest.approx(expected, abs=1e-12)
         assert val == pytest.approx(-0.313262, abs=1e-6)
 
     def test_length_mismatch(self, matched_pair_dataset):
         with pytest.raises(DataError):
-            olr_avg_loglik(matched_pair_dataset,
-                           Parameters(beta=[0.0], cluster_effects=np.zeros(3)))
+            olr_avg_loglik(matched_pair_dataset, [0.0], np.zeros(3))
 
     def test_replication_invariance(self):
         # equal up to summation order: 1e-14 relative is about 90 ulps
@@ -160,14 +158,12 @@ class TestOlrAvgLoglik:
         for seed, R in product(range(20), (2, 3, 5)):
             ds = random_matched_pairs(seed, n_pairs=10)
             b = np.linspace(-1, 1, ds.n_clusters)
-            base = olr_avg_loglik(ds, Parameters(beta=beta,
-                                                 cluster_effects=b))
+            base = olr_avg_loglik(ds, beta, b)
             rep = screen_dataset([
                 Cluster(np.tile(c.covariates, (R, 1)),
                         np.tile(c.outcomes, R))
-                for c in ds.clusters])
-            val = olr_avg_loglik(rep, Parameters(beta=beta,
-                                                 cluster_effects=b))
+                for c in unpack(ds)])
+            val = olr_avg_loglik(rep, beta, b)
             assert abs(val - base) <= 1e-14 * abs(base), (seed, R)
 
 
@@ -183,9 +179,9 @@ class TestProfileLoglik:
         rng = np.random.default_rng(seed)
         ds = random_matched_pairs(seed, n_pairs=8)
         beta = rng.normal(size=2)
-        taus = np.array([profile_tau(c, beta) for c in ds.clusters])
+        taus = np.array([profile_tau(c, beta) for c in unpack(ds)])
         assert profile_loglik(ds, beta) == pytest.approx(
-            olr_avg_loglik(ds, Parameters(beta=beta, cluster_effects=taus)),
+            olr_avg_loglik(ds, beta, taus),
             abs=1e-14)
 
     def test_replication_invariance(self):
@@ -197,7 +193,7 @@ class TestProfileLoglik:
             rep = screen_dataset([
                 Cluster(np.tile(c.covariates, (R, 1)),
                         np.tile(c.outcomes, R))
-                for c in ds.clusters])
+                for c in unpack(ds)])
             val = profile_loglik(rep, beta)
             assert abs(val - base) <= 1e-14 * abs(base), (seed, R)
 
@@ -208,9 +204,8 @@ class TestProfileLoglik:
         best = -np.inf
         for beta in np.linspace(1.9, 2.5, 241):
             for b in np.linspace(-1.6, -0.6, 201):
-                val = olr_avg_loglik(
-                    matched_pair_dataset,
-                    Parameters(beta=[beta], cluster_effects=np.full(4, b)))
+                val = olr_avg_loglik(matched_pair_dataset, [beta],
+                                     np.full(4, b))
                 best = max(best, val)
         assert profile_loglik(matched_pair_dataset, beta_hat) == pytest.approx(
             best, abs=1e-4)

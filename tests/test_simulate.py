@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from clogitrep.simulate import (SimConfig, generate_dataset, run_study)
+from packing_oracle import unpack
 
 
 class TestSimConfig:
@@ -24,7 +25,7 @@ class TestGenerateDataset:
         ds = generate_dataset(cfg, 0)
         assert ds.n_clusters + ds.dropped_concordant == cfg.J
         assert ds.n_covariates == 2
-        for c in ds.clusters:
+        for c in unpack(ds):
             assert c.size == 3
             np.testing.assert_array_equal(c.covariates[:, 0], [1.0, 0.0, 0.0])
 
@@ -33,7 +34,7 @@ class TestGenerateDataset:
         a = generate_dataset(cfg, 4)
         b = generate_dataset(cfg, 4)
         assert a.n_clusters == b.n_clusters
-        for ca, cb in zip(a.clusters, b.clusters):
+        for ca, cb in zip(unpack(a), unpack(b)):
             np.testing.assert_array_equal(ca.covariates, cb.covariates)
             np.testing.assert_array_equal(ca.outcomes, cb.outcomes)
 
@@ -41,8 +42,8 @@ class TestGenerateDataset:
         cfg = SimConfig(J=30, seed=9)
         a = generate_dataset(cfg, 0)
         b = generate_dataset(cfg, 1)
-        assert not np.array_equal(a.clusters[0].covariates,
-                                  b.clusters[0].covariates)
+        assert not np.array_equal(unpack(a)[0].covariates,
+                                  unpack(b)[0].covariates)
 
     def test_rng_contract_stream(self):
         # rng-contract-v1: x2 normals first, then cluster effects, then
@@ -51,7 +52,7 @@ class TestGenerateDataset:
         rng = np.random.default_rng(np.random.SeedSequence([123, 2]))
         x2 = rng.standard_normal((40, 3))
         ds = generate_dataset(cfg, 2)
-        observed = np.vstack([c.covariates[:, 1] for c in ds.clusters])
+        observed = np.vstack([c.covariates[:, 1] for c in unpack(ds)])
         rows = {tuple(np.round(r, 12)) for r in x2}
         assert all(tuple(np.round(r, 12)) in rows for r in observed)
 
