@@ -14,7 +14,7 @@ from .data import (Cluster, DataError, Dataset, FitResult, read_csv,
 from .profile import (olr_avg_loglik, olr_profile_score, profile_loglik,
                       profile_tau)
 from .saddle import (QuadratureError, SaddleDiagnostics, contour_integral_g,
-                     rate_limit_check, u_of_theta)
+                     rate_limit_block, rate_limit_check, u_of_theta)
 from .simulate import SimConfig, SimulationSummary, generate_dataset, run_study
 from .solve import (RelationReport, SolverConfig, SolverError, solve_cmle,
                     solve_cmle_replicated, solve_mle, verify_1K_identity,
@@ -30,6 +30,6 @@ __all__ = [
     "solve_mle", "solve_cmle", "solve_cmle_replicated",
     "verify_pair_identity", "verify_1K_identity",
     "SaddleDiagnostics", "QuadratureError", "u_of_theta",
-    "rate_limit_check", "contour_integral_g",
+    "rate_limit_check", "rate_limit_block", "contour_integral_g",
     "SimConfig", "SimulationSummary", "generate_dataset", "run_study",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from .data import DataError, read_csv
-from .saddle import QuadratureError, rate_limit_check
+from .saddle import QuadratureError, rate_limit_block
 from .simulate import SimConfig, run_study
 from .solve import (SolverConfig, SolverError, solve_cmle,
                     solve_cmle_replicated, solve_mle)
@@ -187,11 +187,15 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
     w = csv.writer(buf)
     w.writerow(["cluster", "tau", "u0", "uprime0_abs", "R", "rate", "gap",
                 "quad_rel_err"])
-    # the clusters in dataset order; j is unique, so no block is compared
-    for j, i, block in sorted((j, i, b) for b in dataset.blocks
-                              for i, j in enumerate(b.index.tolist())):
-        diag = rate_limit_check(block.X[i] @ beta, int(block.T[i]), r_grid,
-                                quadrature_max_r=args.quadrature_max_r)
+    # one pass per block, written out in dataset order
+    diags = [None] * dataset.n_clusters
+    for block in dataset.blocks:
+        ids = block.index.tolist()
+        for j, diag in zip(ids, rate_limit_block(
+                block.X @ beta, block.T, r_grid,
+                quadrature_max_r=args.quadrature_max_r, ids=ids)):
+            diags[j] = diag
+    for j, diag in enumerate(diags):
         quad = dict(diag.quadrature_vs_dp)
         for R, rate, gap in zip(diag.r_grid, diag.exact_rates, diag.gaps):
             w.writerow([j, repr(diag.tau), repr(diag.u0),

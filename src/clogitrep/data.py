@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -88,7 +87,8 @@ class Cluster:
         return self.covariates @ np.asarray(beta, dtype=float)
 
 
-class SizeBlock(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class SizeBlock:
     """The clusters of one size K, stacked in dataset order."""
 
     index: np.ndarray  # (n,) positions of the clusters in the dataset
@@ -97,10 +97,11 @@ class SizeBlock(NamedTuple):
     T: np.ndarray      # (n,) outcome sums
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Screened discordant clusters, packed into one SizeBlock per cluster
-    size in order of first appearance.  Built by `from_arrays`."""
+    size in order of first appearance.  Built by `from_arrays`; compared
+    and hashed by identity, as is each SizeBlock."""
 
     blocks: tuple[SizeBlock, ...]
     dropped_concordant: int = 0
@@ -210,14 +211,29 @@ def _columns(rows, width: int):
     return (ids, y, x) if {*y} <= {0, 1} and np.isfinite(x).all() else None
 
 
-def _scan(path, rows, first: int, width: int):
-    """Check a chunk of csv rows line by line, the first at line `first`.
+def _record_lines(path, first: int, count: int) -> list[int]:
+    """The physical lines on which csv records first .. first + count - 1
+    start, the header being record 0; a quoted field can span lines."""
+    lines, start = [], 1
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for record, _ in zip(range(first + count), reader):
+            if record >= first:
+                lines.append(start)
+            start = reader.line_num + 1
+    return lines
 
-    Raises DataError at the first bad line; else returns the cluster ids,
-    outcomes and covariates of the rows that are not blank.
+
+def _scan(path, rows, first: int, width: int):
+    """Check a chunk of csv rows row by row, the first being record `first`
+    of the file.
+
+    Raises DataError at the first bad row, naming the physical line it
+    starts on; else returns the cluster ids, outcomes and covariates of the
+    rows that are not blank.
     """
     ids, outcomes, covariates = [], [], []
-    for line, row in enumerate(rows, first):
+    for line, row in zip(_record_lines(path, first, len(rows)), rows):
         where = f"{path}: line {line}:"
         if len(row) != width:
             if _blank(row):
@@ -248,8 +264,9 @@ def read_csv(path) -> Dataset:
     Rows are grouped by cluster_id, stripped of padding, in first-appearance
     order; input order is preserved within each cluster.  The file is read
     in one pass, _CHUNK_ROWS rows at a time: a chunk is converted column by
-    column, and one that fails any check is checked line by line, so that
-    errors report the 1-based line number of the first bad line.
+    column, and one that fails any check is checked row by row, so that
+    errors report the 1-based physical line on which the first bad row
+    starts.
     """
     names, codes, outcomes, chunks = {}, [], [], []
     with open(path, newline="") as fh:
@@ -262,7 +279,7 @@ def read_csv(path) -> Dataset:
         if len(header) < 3 or header[0] != "cluster_id" or header[1] != "y":
             raise DataError(f"{path}: line 1: expected header "
                             "'cluster_id,y,x1,...,xP'")
-        for first in itertools.count(2, _CHUNK_ROWS):
+        for first in itertools.count(1, _CHUNK_ROWS):
             rows = list(itertools.islice(reader, _CHUNK_ROWS))
             if not rows:
                 break

@@ -7,8 +7,17 @@ saddle choice that kills the phase derivative at theta = 0.  The growth
 rate (1/R) log g then converges to the real constant u(0).
 
 `conditional.log_g` evaluates this integral exactly with the trapezoid rule
-on N = RK + 1 nodes.  `contour_integral_g` is an independent reference for
-it: an oversampled trapezoid rule that checks itself by doubling its nodes.
+on N = RK + 1 nodes.  The contour quadrature here is an independent
+reference for it: an oversampled trapezoid rule, one complex log per
+factor, that checks itself by doubling its nodes.
+
+The diagnostics run over a whole block of same-size clusters at once
+(`rate_limit_block`): one tau solve for the block, one kernel call per R
+over all its rows, and one evaluation of u(theta) per row on the 2*nodes
+grid theta_m = -pi + pi m / nodes.  The even nodes of that grid are the
+nodes-point grid and m = nodes is theta = 0, so the one array gives u(0)
+and both trapezoid sums of the node-doubling check for every R.
+`rate_limit_check` and `contour_integral_g` are one-row calls into it.
 """
 
 from __future__ import annotations
@@ -18,17 +27,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from . import profile
-from .conditional import log_g
+from . import conditional, profile
 from .data import DataError
 
 __all__ = [
     "SaddleDiagnostics",
     "u_of_theta",
     "rate_limit_check",
+    "rate_limit_block",
     "contour_integral_g",
     "QuadratureError",
 ]
+
+# Contour nodes before doubling
+_NODES = 512
+# Complex elements in one (rows, 2 * nodes, K) contour temporary; the
+# contour pass is split by rows to stay within it
+_CONTOUR_BUDGET = 2**14
 
 
 class QuadratureError(RuntimeError):
@@ -37,6 +52,10 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class SaddleDiagnostics:
+    """Growth-rate diagnostics of one cluster.  `quadrature_vs_dp` holds
+    (R, relative error) of the contour quadrature against the kernel; the
+    name is kept for API stability."""
+
     tau: float
     u0: float
     u_prime0_abs: float
@@ -46,26 +65,88 @@ class SaddleDiagnostics:
     quadrature_vs_dp: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _tau_of(eta: np.ndarray, T: int) -> float:
-    if not 1 <= T <= eta.shape[0] - 1:
-        raise DataError("saddle requires a discordant cluster (finite root)")
-    return float(profile._tau_batch(eta[None, :], np.array([T]))[0])
+def _where(ids, row: int, R: int | None = None) -> str:
+    """Error-message prefix naming the row's cluster id, if ids are given,
+    and R, if given."""
+    parts = [] if ids is None else [f"cluster {ids[row]}"]
+    if R is not None:
+        parts.append(f"R = {R}")
+    return ", ".join(parts) + ": " if parts else ""
+
+
+def _taus(eta: np.ndarray, T: np.ndarray, ids=None) -> np.ndarray:
+    bad = np.flatnonzero((T < 1) | (T > eta.shape[1] - 1))
+    if bad.size:
+        raise DataError(f"{_where(ids, bad[0])}saddle requires a discordant "
+                        "cluster (finite root)")
+    return profile._tau_batch(eta, T)
+
+
+def _u_rows(eta: np.ndarray, T: np.ndarray, tau: np.ndarray,
+            theta: np.ndarray) -> np.ndarray:
+    """u(theta) on each row's saddle circle, (n, len(theta))."""
+    K = eta.shape[1]
+    z = (np.exp(1j * theta)[None, :, None]
+         + np.exp(eta + tau[:, None])[:, None, :])
+    return ((-tau * T)[:, None] - 1j * (K - T)[:, None] * theta[None, :]
+            + np.log(z, out=z).sum(axis=2))
 
 
 def u_of_theta(eta, T: int, theta: float) -> complex:
     """Complex rate function on the saddle contour rho = exp(-tau)."""
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    return complex(_u_batch(eta, T, _tau_of(eta, T), np.array([theta]))[0])
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))[None, :]
+    T = np.array([int(T)])
+    return complex(_u_rows(eta, T, _taus(eta, T), np.array([theta]))[0, 0])
 
 
-def _u_batch(eta: np.ndarray, T: int, tau: float,
-             theta: np.ndarray) -> np.ndarray:
-    K = eta.shape[0]
-    z = np.exp(1j * theta)[:, None] + np.exp(eta + tau)[None, :]
-    return (-tau * T - 1j * (K - T) * theta + np.log(z).sum(axis=1))
+def _contour_block(eta: np.ndarray, T: np.ndarray, tau: np.ndarray,
+                   r_values: list[int], nodes: int, ids=None) -> np.ndarray:
+    """log g by contour quadrature for each row and each R in r_values.
+
+    Returns (n, len(r_values)): R u(0) + log of the trapezoid mean of
+    exp(R (u(theta) - u(0))) on 2*nodes nodes.  Raises QuadratureError,
+    naming the cluster and R, when the mean on nodes or on 2*nodes nodes
+    loses conjugate symmetry, the two differ by more than 1e-10, or the
+    integral is not positive.
+    """
+    n, K = eta.shape
+    if not r_values:
+        return np.empty((n, 0))
+    m = 2 * nodes
+    theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
+    u0 = np.empty(n)
+    coarse = np.empty((n, len(r_values)), dtype=complex)
+    fine = np.empty_like(coarse)
+    rows = max(1, _CONTOUR_BUDGET // (m * K))
+    for lo in range(0, n, rows):
+        part = slice(lo, lo + rows)
+        u = _u_rows(eta[part], T[part], tau[part], theta)
+        u0[part] = u[:, nodes].real
+        u -= u0[part, None]
+        for c, R in enumerate(r_values):
+            vals = np.exp(R * u)
+            coarse[part, c] = vals[:, ::2].mean(axis=1)
+            fine[part, c] = vals.mean(axis=1)
+    def tol(x):
+        return 1e-10 * np.maximum(1.0, np.abs(x))
+
+    checks = [
+        ((np.abs(coarse.imag) > tol(coarse.real))
+         | (np.abs(fine.imag) > tol(fine.real)),
+         "integrand lost conjugate symmetry"),
+        (np.abs(fine.real - coarse.real) > tol(fine.real),
+         "quadrature not converged"),
+        (fine.real <= 0.0, "non-positive quadrature value"),
+    ]
+    failed = np.logical_or.reduce([bad for bad, _ in checks])
+    if failed.any():
+        i, c = np.argwhere(failed)[0]
+        reason = next(msg for bad, msg in checks if bad[i, c])
+        raise QuadratureError(f"{_where(ids, i, r_values[c])}{reason}")
+    return np.array(r_values) * u0[:, None] + np.log(fine.real)
 
 
-def contour_integral_g(eta, T: int, R: int, nodes: int = 512) -> float:
+def contour_integral_g(eta, T: int, R: int, nodes: int = _NODES) -> float:
     """log g via the saddle-normalized contour integral.
 
     Returns R*u(0) + log of the periodic-trapezoid integral of
@@ -74,50 +155,57 @@ def contour_integral_g(eta, T: int, R: int, nodes: int = 512) -> float:
     """
     if nodes < 256:
         raise ValueError("nodes must be >= 256")
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    tau = _tau_of(eta, int(T))
-    u0 = float(_u_batch(eta, T, tau, np.zeros(1))[0].real)
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))[None, :]
+    T = np.array([int(T)])
+    return float(_contour_block(eta, T, _taus(eta, T), [int(R)], nodes)[0, 0])
 
-    def quad(n):
-        theta = -np.pi + 2.0 * np.pi * np.arange(n) / n
-        u = _u_batch(eta, T, tau, theta)
-        vals = np.exp(R * (u - u0))
-        mean = vals.mean()
-        if abs(mean.imag) > 1e-10 * max(1.0, abs(mean.real)):
-            raise QuadratureError("integrand lost conjugate symmetry")
-        return float(mean.real)
 
-    a, b = quad(nodes), quad(2 * nodes)
-    if abs(b - a) > 1e-10 * max(1.0, abs(b)):
-        raise QuadratureError("quadrature not converged")
-    if b <= 0.0:
-        raise QuadratureError("non-positive quadrature value")
-    return R * u0 + float(np.log(b))
+def rate_limit_block(eta, T, r_grid, quadrature_max_r: int = 0,
+                     ids=None) -> list[SaddleDiagnostics]:
+    """`rate_limit_check` for every row of a block of same-size clusters.
+
+    eta is (n, K) and T (n,); ids, if given, name the rows' clusters in
+    error messages.  Returns one SaddleDiagnostics per row.
+    """
+    eta = np.asarray(eta, dtype=float)
+    T = np.asarray(T).astype(int)
+    r_grid = [int(r) for r in r_grid]
+    if any(r < 1 for r in r_grid) or sorted(r_grid) != r_grid:
+        raise ValueError("r_grid must be ascending with entries >= 1")
+    tau = _taus(eta, T, ids)
+    s = eta + tau[:, None]
+    u0 = -tau * T + np.logaddexp(0.0, s).sum(axis=1)
+    # u'(0) = i (T - sum_k expit(eta_k + tau)): the profile root's residual
+    up0 = np.abs(T - expit(s).sum(axis=1))
+    values = np.empty((eta.shape[0], len(r_grid)))
+    for c, R in enumerate(r_grid):
+        try:
+            values[:, c] = conditional._log_g_batch(eta, R, T, 0)[0]
+        except DataError as exc:
+            raise DataError(f"{_where(ids, 0, R)}{exc}") from None
+    rates = values / np.array(r_grid)
+    gaps = np.abs(rates - u0[:, None])
+    q_grid = [R for R in r_grid if R <= quadrature_max_r]
+    exact = values[:, :len(q_grid)]
+    quad = (np.abs(_contour_block(eta, T, tau, q_grid, _NODES, ids) - exact)
+            / np.maximum(1.0, np.abs(exact)))
+    return [SaddleDiagnostics(tau=t, u0=u, u_prime0_abs=up,
+                              r_grid=list(r_grid),
+                              exact_rates=rate, gaps=gap,
+                              quadrature_vs_dp=list(zip(q_grid, q)))
+            for t, u, up, rate, gap, q in zip(
+                tau.tolist(), u0.tolist(), up0.tolist(), rates.tolist(),
+                gaps.tolist(), quad.tolist())]
 
 
 def rate_limit_check(eta, T: int, r_grid,
                      quadrature_max_r: int = 0) -> SaddleDiagnostics:
     """Exact growth rates (1/R) log g over an R grid against the limit u(0).
 
-    The exact log g comes from the saddle-circle kernel, `conditional.log_g`.
+    The exact log g comes from the saddle-circle kernel of `conditional`.
     Optionally cross-checks it against the oversampled contour integral for
     R <= quadrature_max_r, reporting relative errors.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    T = int(T)
-    r_grid = [int(r) for r in r_grid]
-    if any(r < 1 for r in r_grid) or sorted(r_grid) != r_grid:
-        raise ValueError("r_grid must be ascending with entries >= 1")
-    tau = _tau_of(eta, T)
-    s = eta + tau
-    u0 = float(-tau * T + np.logaddexp(0.0, s).sum())
-    # u'(0) = i (T - sum_k expit(eta_k + tau)): the profile root's residual
-    up0 = float(T - expit(s).sum())
-    values = [log_g(eta, R, T).value for R in r_grid]
-    rates = [v / R for v, R in zip(values, r_grid)]
-    gaps = [abs(rate - u0) for rate in rates]
-    quad = [(R, abs(contour_integral_g(eta, T, R) - v) / max(1.0, abs(v)))
-            for R, v in zip(r_grid, values) if R <= quadrature_max_r]
-    return SaddleDiagnostics(tau=tau, u0=u0, u_prime0_abs=abs(up0),
-                             r_grid=r_grid, exact_rates=rates, gaps=gaps,
-                             quadrature_vs_dp=quad)
+    return rate_limit_block(eta[None, :], [int(T)], r_grid,
+                            quadrature_max_r)[0]

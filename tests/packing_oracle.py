@@ -8,6 +8,7 @@ packed blocks to match it bitwise.
 """
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 from scipy.special import expit
@@ -87,5 +88,5 @@ def assert_packed_like(dataset, clusters, dropped_concordant=0):
                                             dropped)
     assert len(dataset.blocks) == len(blocks)
     for got, want in zip(dataset.blocks, blocks):
-        for field, a, b in zip(SizeBlock._fields, got, want):
-            assert _same(a, b), field
+        for name in (f.name for f in fields(SizeBlock)):
+            assert _same(getattr(got, name), getattr(want, name)), name

@@ -182,6 +182,38 @@ class TestCsvReader:
         with pytest.raises(DataError, match="line 3: expected 3 fields, got 2"):
             read_csv(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_multiline_field_reports_physical_line(self, tmp_path, newline):
+        # the quoted field of the record on line 2 runs on to line 3
+        path = tmp_path / "d.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(newline.join(["cluster_id,y,x1", 'a,1,"1.0', '"',
+                                   "a,0,oops", ""]))
+        with pytest.raises(DataError, match="line 4: malformed"):
+            read_csv(path)
+
+    def test_multiline_field_in_second_chunk_reports_physical_line(
+            self, tmp_path):
+        lines = ["cluster_id,y,x1"] + [f"c{i // 2},{i % 2},{i}"
+                                       for i in range(data._CHUNK_ROWS + 40)]
+        lines[5] = lines[5][:lines[5].rindex(",") + 1] + '"7\n"'
+        lines[data._CHUNK_ROWS + 20] += "x"
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"line {data._CHUNK_ROWS + 22}: "
+                                            "malformed"):
+            read_csv(path)
+
+
+def test_dataset_and_blocks_compare_by_identity(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("cluster_id,y,x1\na,1,1.0\na,0,0.5\nb,0,2.0\nb,1,0.0\n")
+    a, b = read_csv(path), read_csv(path)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert a.blocks[0] == a.blocks[0] and a.blocks[0] != b.blocks[0]
+    assert len({a.blocks[0], b.blocks[0]}) == 2
+
 
 class TestPackingOracle:
     @pytest.mark.parametrize("J,K,seed", [(100, 3, 0), (40, 5, 3), (60, 2, 7)])
