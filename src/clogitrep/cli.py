@@ -88,6 +88,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise DataError(f"{flag}: expected comma-separated reals") from None
     if not values:
         raise DataError(f"{flag}: empty list")
+    if not np.isfinite(values).all():
+        raise DataError(f"{flag}: entries must be finite")
     return values
 
 

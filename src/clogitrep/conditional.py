@@ -11,14 +11,26 @@ profile root of the cluster,
     g = exp(R u(0)) * (1/2pi) int exp(R (u(theta) - u(0))) dtheta,
     u(theta) = -tau T - i (K-T) theta + sum_k log(e^(i theta) + e^(eta_k + tau)).
 
-The integrand is a trigonometric polynomial whose frequencies lie in
-[-R(K-T), RT], so the periodic trapezoid rule on N = RK + 1 nodes
-theta_n = 2 pi n / N is exact up to rounding.  The modulus of the integrand
-peaks at theta = 0, where it is 1, so no term overflows.  The same nodes
-give the gradient in eta, the tilted-measure expectations
+The integrand's Fourier coefficients are the pmf of
+S = sum_k Bin(R, 1 - p_k), p_k = expit(eta_k + tau), shifted by
+mu = R(K-T), which is the mean of S because tau is the profile root; the
+integrand's mean over the circle is P(S = mu).  The periodic trapezoid rule
+on M nodes theta_n = 2 pi n / M returns sum_j P(S = mu + jM), so its
+relative error is at most P(|S - mu| >= M) / P(S = mu).  The mode of S is
+its integer mean (Darroch 1964), so P(S = mu) >= 1/(RK + 1); Bernstein's
+inequality with Var S <= RK/4 gives
+P(|S - mu| >= M) <= 2 exp(-M^2 / (RK/2 + 2M/3)).  The node count M(R, K)
+of `_nodes` makes the ratio at most e^-40; it is O(sqrt(RK)), and never
+more than RK + 1, on which the rule is exact up to rounding.
+
+The modulus of the integrand peaks at theta = 0, where it is 1, so no term
+overflows.  The same nodes give the gradient in eta, the tilted-measure
+expectations
 E[r_k] = R Re sum_n w_n xi~_k / (e^(i theta_n) + xi~_k) / Re sum_n w_n,
 with w_n the integrand and xi~_k = exp(eta_k + tau), and the Hessian in eta,
-Cov(r), from the second moments of the same terms.
+Cov(r), from the second moments of the same terms.  Their numerators'
+coefficients are the same pmf times conditional moments of r at most R and
+R^2, so the same bound holds for them.
 
 Each node takes one complex log, of the product of its K factors rather
 than one log per factor: R is an integer, so exp(R log prod_k d_k) =
@@ -30,6 +42,7 @@ which is taken as 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +60,29 @@ __all__ = [
     "DEFAULT_STATE_CAP",
 ]
 
-# Largest R*K accepted: a cluster takes N = RK + 1 quadrature nodes, of which
-# the kernel evaluates N/2 + 1, holding about N*K/2 complex factors and
-# taking one complex log per node for every _PROD_CHUNK of them.
+# Largest R*K accepted: a cluster takes M(R, K) = O(sqrt(RK)) quadrature
+# nodes (`_nodes`), of which the kernel evaluates M/2 + 1, holding about
+# M*K/2 complex factors and taking one complex log per node for every
+# _PROD_CHUNK of them.  At the cap, M = 5,239.
 DEFAULT_STATE_CAP = 10**6
 # Most factors multiplied before one complex log
 _PROD_CHUNK = 512
-# Complex elements in one (rows, N/2 + 1, K) temporary (32 MB); larger
-# batches are split by rows, so only a single row can exceed it
+# Complex elements in one (rows, M/2 + 1, K) temporary (32 MB); larger
+# batches are split by rows.  A single row exceeds it only when
+# (M/2 + 1) K > 2^21: K above 8,666 at R = 1, or above 800 at R K = 10^6.
 _TEMP_BUDGET = 2**21
+
+
+def _nodes(R: int, K: int) -> int:
+    """Trapezoid nodes M(R, K) whose alias error is at most e^-40.
+
+    The smallest M with 2 (RK + 1) exp(-M^2 / (RK/2 + 2M/3)) <= e^-40, the
+    positive root of M^2 - (2L/3) M - L RK/2 with L = log(2(RK + 1)) + 40,
+    and at most RK + 1 (see the module docstring).
+    """
+    L = math.log(2 * (R * K + 1)) + 40.0
+    return min(R * K + 1, math.ceil(L / 3 + math.sqrt(L * L / 9
+                                                      + L * R * K / 2)))
 
 
 @dataclass(frozen=True)
@@ -67,10 +94,11 @@ class LogNormalizer:
 
 
 @np.errstate(under="ignore", divide="ignore")
-def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
+def _log_g_batch(eta: np.ndarray, R: int, T, order: int, tau=None):
     """Batched replicated normalizer over same-size discordant clusters.
 
-    eta is (n, K); T is an int or (n,) array with 1 <= T <= K-1.  Returns
+    eta is (n, K); T is an int or (n,) array with 1 <= T <= K-1; tau, if
+    given, is the (n,) profile roots, solved here otherwise.  Returns
     the first order + 1 of (value (n,), grad (n, K), hess (n, K, K)).
     grad[:, k] = E[r_k] under the binomially weighted tilted measure; entries
     lie in [0, R] and sum to R*T.  hess = Cov(r), with rows summing to 0.
@@ -83,13 +111,15 @@ def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
     if R * K > DEFAULT_STATE_CAP:
         raise DataError(f"state space R*K = {R * K} exceeds cap "
                         f"{DEFAULT_STATE_CAP}")
-    N = R * K + 1
-    rows = max(1, _TEMP_BUDGET // ((N // 2 + 1) * K))
+    M = _nodes(R, K)
+    rows = max(1, _TEMP_BUDGET // ((M // 2 + 1) * K))
     if n > rows:
-        parts = [_log_g_batch(eta[i:i + rows], R, T[i:i + rows], order)
+        parts = [_log_g_batch(eta[i:i + rows], R, T[i:i + rows], order,
+                              None if tau is None else tau[i:i + rows])
                  for i in range(0, n, rows)]
         return tuple(np.concatenate(part) for part in zip(*parts))
-    tau = profile._tau_batch(eta, T)
+    if tau is None:
+        tau = profile._tau_batch(eta, T)
     s = eta + tau[:, None]
     pos = s > 0.0
     a = np.exp(-np.abs(s))
@@ -98,14 +128,14 @@ def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
     u0 = ((np.where(pos, eta, 0.0).sum(axis=1) + (pos.sum(axis=1) - T) * tau)
           + np.log1p(a).sum(axis=1))
     # the integrand at -theta is the conjugate of that at theta, so the
-    # nodes past N/2 are folded onto their mirror images by a weight of 2
-    nodes = np.arange(N // 2 + 1)
-    fold = np.where((nodes == 0) | (2 * nodes == N), 1.0, 2.0)
+    # nodes past M/2 are folded onto their mirror images by a weight of 2
+    nodes = np.arange(M // 2 + 1)
+    fold = np.where((nodes == 0) | (2 * nodes == M), 1.0, 2.0)
     # d = A + B e^(i theta) is e^(i theta) + e^s, divided by e^s where s > 0
     # so that e^s is never formed
     A = np.where(pos, 1.0, a)[:, None, :]
     B = np.where(pos, a, 1.0)[:, None, :]
-    d = B * np.exp(2j * np.pi / N * nodes)[None, :, None]
+    d = B * np.exp(2j * np.pi / M * nodes)[None, :, None]
     d += A
     # R sum_k log d_k = R log prod_k d_k on any branch of the log, R being an
     # integer.  |d_k| <= 2, so a chunk of _PROD_CHUNK factors cannot
@@ -116,12 +146,12 @@ def _log_g_batch(eta: np.ndarray, R: int, T, order: int):
     # R (u(theta_n) - u(0)); the phase R (K-T) theta_n is reduced mod 2 pi
     # in integers.  Real and imaginary parts are scaled apart, since a
     # complex product would turn the -inf of an underflowed node into nan
-    shift = (R * (K - T)[:, None] * nodes[None, :]) % N
+    shift = (R * (K - T)[:, None] * nodes[None, :]) % M
     w = np.exp(R * (log_d.real - log_d[:, :1].real)
-               + 1j * (R * log_d.imag - 2 * np.pi / N * shift))
+               + 1j * (R * log_d.imag - 2 * np.pi / M * shift))
     w *= fold
     total = w.real.sum(axis=1)
-    value = R * u0 + np.log(total / N)
+    value = R * u0 + np.log(total / M)
     if order == 0:
         return (value,)
     # a_k = xi~_k / (e^(i theta) + xi~_k) = A_k / d_k, with

@@ -6,17 +6,18 @@ Cauchy's differentiation formula on the circle |z| = rho it equals
 saddle choice that kills the phase derivative at theta = 0.  The growth
 rate (1/R) log g then converges to the real constant u(0).
 
-`conditional.log_g` evaluates this integral exactly with the trapezoid rule
-on N = RK + 1 nodes.  The contour quadrature here is an independent
+`conditional.log_g` evaluates this integral with the trapezoid rule on
+M(R, K) = O(sqrt(RK)) nodes, whose alias error is at most e^-40 relative
+(see `conditional`).  The contour quadrature here is an independent
 reference for it: an oversampled trapezoid rule, one complex log per
 factor, that checks itself by doubling its nodes.
 
 The diagnostics run over a whole block of same-size clusters at once
 (`rate_limit_block`): one tau solve for the block, one kernel call per R
-over all its rows, and one evaluation of u(theta) per row on the 2*nodes
-grid theta_m = -pi + pi m / nodes.  The even nodes of that grid are the
-nodes-point grid and m = nodes is theta = 0, so the one array gives u(0)
-and both trapezoid sums of the node-doubling check for every R.
+over all its rows on those roots, and one evaluation of u(theta) per row
+on the 2*nodes grid theta_m = -pi + pi m / nodes.  The even nodes of that
+grid are the nodes-point grid and m = nodes is theta = 0, so the one array
+gives u(0) and both trapezoid sums of the node-doubling check for every R.
 `rate_limit_check` and `contour_integral_g` are one-row calls into it.
 """
 
@@ -75,6 +76,10 @@ def _where(ids, row: int, R: int | None = None) -> str:
 
 
 def _taus(eta: np.ndarray, T: np.ndarray, ids=None) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(eta).all(axis=1))
+    if bad.size:
+        raise DataError(f"{_where(ids, bad[0])}linear predictor is not "
+                        "finite")
     bad = np.flatnonzero((T < 1) | (T > eta.shape[1] - 1))
     if bad.size:
         raise DataError(f"{_where(ids, bad[0])}saddle requires a discordant "
@@ -180,7 +185,7 @@ def rate_limit_block(eta, T, r_grid, quadrature_max_r: int = 0,
     values = np.empty((eta.shape[0], len(r_grid)))
     for c, R in enumerate(r_grid):
         try:
-            values[:, c] = conditional._log_g_batch(eta, R, T, 0)[0]
+            values[:, c] = conditional._log_g_batch(eta, R, T, 0, tau)[0]
         except DataError as exc:
             raise DataError(f"{_where(ids, 0, R)}{exc}") from None
     rates = values / np.array(r_grid)

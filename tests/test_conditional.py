@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from clogitrep import conditional
+from clogitrep import conditional, profile
 from clogitrep.conditional import (clr_avg_loglik, clr_rep_avg_loglik,
                                    clr_rep_score, clr_score, log_g)
 from clogitrep.data import Cluster, DataError, screen_dataset
@@ -194,26 +194,87 @@ class TestKernelVsDP:
         assert np.all(np.isfinite(clr_rep_score(ds, R, [beta])))
 
 
-def test_kernel_memory_bounded():
-    # the full (n, N/2 + 1, K) temporaries of this batch take 120 MB each;
+class TestReducedGrid:
+    """The kernel on M(R, K) nodes against the full RK + 1 point rule, on
+    which the trapezoid rule is exact up to rounding."""
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 8])
+    @pytest.mark.parametrize("R", [50, 200, 1000])
+    def test_matches_full_grid(self, R, K, monkeypatch):
+        rng = np.random.default_rng(K)
+        wide = np.zeros(K)
+        wide[:2] = (800.0, -800.0)
+        # eta = 0 with T = K/2 has all p = 1/2 for even K, the largest
+        # variance RK/4 of the sum S that the node count is sized for
+        eta = np.vstack([np.zeros(K), rng.normal(scale=1.5, size=(3, K)),
+                         wide])
+        T = np.array([K // 2, 1, K // 2, K - 1, 1])
+        assert conditional._nodes(R, K) < R * K + 1
+        value, grad, hess = conditional._log_g_batch(eta, R, T, 2)
+        monkeypatch.setattr(conditional, "_nodes", lambda R, K: R * K + 1)
+        full = conditional._log_g_batch(eta, R, T, 2)
+        assert np.all(np.abs(value - full[0])
+                      <= 1e-13 * np.maximum(1.0, np.abs(full[0])))
+        np.testing.assert_allclose(grad, full[1], rtol=0, atol=1e-11 * R)
+        np.testing.assert_allclose(hess, full[2], rtol=0, atol=1e-10 * R * R)
+
+    @pytest.mark.parametrize("K", [2, 5, 52, 53, 400])
+    @pytest.mark.parametrize("R", [1, 10, 100, 1000])
+    def test_node_count_is_least_meeting_alias_bound(self, R, K):
+        # log of 2 (RK + 1) exp(-m^2 / (RK/2 + 2m/3)), the bound on the
+        # relative alias error of the m-node rule
+        def log_bound(m):
+            return math.log(2 * (R * K + 1)) - m * m / (R * K / 2 + 2 * m / 3)
+
+        M = conditional._nodes(R, K)
+        assert M == R * K + 1 or log_bound(M) <= -40 + 1e-9
+        assert log_bound(M - 1) > -40
+
+
+def test_kernel_memory_bounded(monkeypatch):
+    # the full (n, M/2 + 1, K) temporaries of this batch take 85 MB each;
     # split by rows, each stays under the kernel's 32 MB budget
     rng = np.random.default_rng(3)
-    eta = rng.normal(size=(3000, 5))
-    T = rng.integers(1, 5, size=3000)
+    eta = rng.normal(size=(3000, 8))
+    T = rng.integers(1, 8, size=3000)
+    batches = []
+    tau_batch = profile._tau_batch
+
+    def counting(eta, T):
+        batches.append(len(eta))
+        return tau_batch(eta, T)
+
+    monkeypatch.setattr(profile, "_tau_batch", counting)
     tracemalloc.start()
     try:
-        value, grad, hess = conditional._log_g_batch(eta, 200, T, 2)
+        value, grad, hess = conditional._log_g_batch(eta, 1000, T, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(batches) > 1 and sum(batches) == 3000
     assert peak <= 4 * 32 * 2**20
     # the last rows, split off, agree with a call on them alone up to the
     # rounding of their profile roots
-    tail = conditional._log_g_batch(eta[-5:], 200, T[-5:], 2)
+    tail = conditional._log_g_batch(eta[-5:], 1000, T[-5:], 2)
     for whole, part, scale in zip((value, grad, hess), tail,
-                                  (1.0, 200, 200**2)):
+                                  (1.0, 1000, 1000**2)):
         np.testing.assert_allclose(whole[-5:], part, rtol=1e-12,
                                    atol=1e-10 * scale)
+
+
+def test_single_row_memory_bounded():
+    # one row cannot be split: at K = 400, R = 100 its temporaries hold
+    # (M/2 + 1) K = 206,400 complex values, 3.3 MB each
+    eta = np.random.default_rng(5).normal(size=(1, 400))
+    tracemalloc.start()
+    try:
+        value, grad, hess = conditional._log_g_batch(eta, 100, 200, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    assert np.isfinite(value).all()
+    assert grad.sum() == pytest.approx(100 * 200, rel=1e-12)
 
 
 class TestClrLoglik:

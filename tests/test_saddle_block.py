@@ -11,7 +11,7 @@ import pytest
 from clogitrep import cli, profile, saddle
 from clogitrep.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from clogitrep.conditional import log_g
-from clogitrep.data import read_csv
+from clogitrep.data import DataError, read_csv
 from clogitrep.saddle import (QuadratureError, contour_integral_g,
                               rate_limit_block, rate_limit_check)
 
@@ -91,6 +91,40 @@ def test_block_rows_match_rate_limit_check():
         np.testing.assert_allclose([e for _, e in d.quadrature_vs_dp],
                                    [e for _, e in one.quadrature_vs_dp],
                                    rtol=0, atol=1e-13)
+
+
+def test_one_root_solve_per_block(mixed_csv, monkeypatch, capsys):
+    path, _ = mixed_csv
+    calls = []
+    tau_batch = profile._tau_batch
+
+    def counting(eta, T):
+        calls.append(len(eta))
+        return tau_batch(eta, T)
+
+    monkeypatch.setattr(profile, "_tau_batch", counting)
+    rc = main(["asymptotics", "--input", path, "--beta", "0.6,-0.4",
+               "--r-grid", ",".join(map(str, R_GRID))])
+    assert rc == EXIT_OK
+    assert calls == [len(b.T) for b in read_csv(path).blocks]
+
+
+@pytest.mark.parametrize("beta", ["nan,0.5", "inf,0.5", "0.5,-inf"])
+def test_non_finite_beta_rejected(mixed_csv, beta, capsys):
+    path, _ = mixed_csv
+    rc = main(["asymptotics", "--input", path, "--beta", beta])
+    assert rc == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--beta: entries must be finite" in err
+
+
+def test_non_finite_eta_names_cluster():
+    eta = np.zeros((3, 4))
+    eta[1, 2] = np.nan
+    with pytest.raises(DataError,
+                       match="^cluster 7: linear predictor is not finite"):
+        rate_limit_block(eta, [2, 2, 2], [1, 5], ids=[4, 7, 9])
 
 
 def _concordant_row(monkeypatch, path, block, row):
