@@ -122,7 +122,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "objective": fit.objective,
             "grad_inf_norm": fit.grad_inf_norm,
             "iterations": fit.iterations,
-            "converged": fit.converged,
             "dropped_concordant": fit.dropped_concordant,
         }, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
@@ -236,13 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study")
-    sim.add_argument("--clusters", type=int, default=100)
-    sim.add_argument("--cluster-size", type=int, default=3)
-    sim.add_argument("--n-sims", type=int, default=10000)
-    sim.add_argument("--replications", default="1,2,3,4,5,10,15,20,50,80")
-    sim.add_argument("--beta-true", default="0.5,0.8")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--workers", type=int, default=1)
+    sim.add_argument("--clusters", type=int, default=SimConfig.J)
+    sim.add_argument("--cluster-size", type=int, default=SimConfig.K)
+    sim.add_argument("--n-sims", type=int, default=SimConfig.n_sims)
+    sim.add_argument("--replications",
+                     default=",".join(map(str, SimConfig.r_values)))
+    sim.add_argument("--beta-true",
+                     default=",".join(map(str, SimConfig.beta_true)))
+    sim.add_argument("--seed", type=int, default=SimConfig.seed)
+    sim.add_argument("--workers", type=int, default=SimConfig.workers)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 

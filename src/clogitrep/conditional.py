@@ -37,7 +37,8 @@ than one log per factor: R is an integer, so exp(R log prod_k d_k) =
 exp(R sum_k log d_k) on any branch of the log.  The product runs over
 chunks of at most _PROD_CHUNK factors, each of modulus at most 2, so no
 chunk overflows; a chunk that underflows marks a node of negligible weight,
-which is taken as 0.
+which is taken as 0.  The conditional likelihoods are the assembly
+`profile._loglik_eval` with log g, whose limit u(0) gives the profile one.
 """
 
 from __future__ import annotations
@@ -120,13 +121,10 @@ def _log_g_batch(eta: np.ndarray, R: int, T, order: int, tau=None):
         return tuple(np.concatenate(part) for part in zip(*parts))
     if tau is None:
         tau = profile._tau_batch(eta, T)
+    u0 = profile._limit_batch(eta, T, tau, 0)[0]
     s = eta + tau[:, None]
     pos = s > 0.0
     a = np.exp(-np.abs(s))
-    # u(0) = -tau T + sum_k log(1 + e^s_k), with the tau of each positive s_k
-    # cancelled exactly against -tau T
-    u0 = ((np.where(pos, eta, 0.0).sum(axis=1) + (pos.sum(axis=1) - T) * tau)
-          + np.log1p(a).sum(axis=1))
     # the integrand at -theta is the conjugate of that at theta, so the
     # nodes past M/2 are folded onto their mirror images by a weight of 2
     nodes = np.arange(M // 2 + 1)
@@ -198,26 +196,13 @@ def log_g(eta, R: int, T: int) -> LogNormalizer:
 # ---------------------------------------------------------------------------
 
 def _clr_eval(dataset: Dataset, R: int, beta, order: int):
-    """Average R-replicated conditional log-likelihood and its derivatives.
-
-    Returns the first order + 1 of (value, score, Hessian), the Hessian being
-    -sum_j X_j' Cov(r_j) X_j / (R N).
-    """
+    """Average R-replicated conditional log-likelihood and its derivatives,
+    assembled by `profile._loglik_eval` with A = log g."""
     if R < 1:
         raise DataError("replication count R must be >= 1")
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    P = beta.shape[0]
-    value, score, hess = 0.0, np.zeros(P), np.zeros((P, P))
-    for block in dataset.blocks:
-        eta = block.X @ beta
-        out = _log_g_batch(eta, R, block.T, order)
-        value += float(R * (block.y * eta).sum() - out[0].sum())
-        if order >= 1:
-            score += np.einsum("nk,nkp->p", R * block.y - out[1], block.X)
-        if order >= 2:
-            hess -= np.einsum("nkp,nkq->pq", block.X, out[2] @ block.X)
-    scale = R * dataset.n_individuals
-    return (value / scale, score / scale, hess / scale)[:order + 1]
+    return profile._loglik_eval(
+        dataset, beta, order,
+        lambda eta, T, tau, order: _log_g_batch(eta, R, T, order, tau), R)
 
 
 def clr_avg_loglik(dataset: Dataset, beta) -> float:

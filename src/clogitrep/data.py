@@ -164,7 +164,6 @@ class FitResult:
     grad_inf_norm: float
     iterations: int
     method: str
-    converged: bool
     tau: np.ndarray | None = None
     objective_trace: list[float] = field(default_factory=list)
     dropped_concordant: int = 0

@@ -1,13 +1,16 @@
-"""Ordinary logistic likelihood with per-cluster intercepts, profiled out.
+"""Profile likelihood, and the one assembly of every likelihood.
 
 For a fixed beta, each cluster's intercept is the unique root tau of
 
     sum_k expit(eta_k + tau) = T,        eta_k = X_k' beta,  T = sum_k Y_k,
 
-which exists and is finite exactly when the cluster is discordant
-(1 <= T <= K-1).  Plugging the roots back in gives the profile
-log-likelihood; its gradient needs no d(tau)/d(beta) term because the root
-equation holds identically in beta.
+finite exactly when the cluster is discordant (1 <= T <= K-1).  At the roots
+the profile log-likelihood is sum_j [Y_j' eta_j - u_j(0)], where
+u(0) = -tau T + sum_k log(1 + e^(eta_k + tau)) is the R -> oo limit of
+(1/R) log g(eta, R, T) (Daniels 1954).  As the root equation holds
+identically, u(0) has eta-gradient pi = expit(eta + tau) and Hessian
+diag(w) - w w' / sum w, w = pi (1 - pi).  `_loglik_eval` assembles
+sum_j [R Y_j' eta_j - A_j] / (R N) and its derivatives for a normalizer A.
 """
 
 from __future__ import annotations
@@ -84,37 +87,49 @@ def _dataset_taus(dataset: Dataset, beta) -> np.ndarray:
     return taus
 
 
-def _olr_eval(dataset: Dataset, beta, order: int, cluster_effects=None):
-    """Average ordinary log-likelihood and, up to `order`, its derivatives.
+def _limit_batch(eta: np.ndarray, T, tau: np.ndarray, order: int):
+    """u(0) for rows eta (n, K), T (n,) and tau (n,), and up to `order` its
+    eta-gradient and Hessian at the profile roots; u(0) holds for any tau."""
+    s = eta + tau[:, None]
+    pos = s > 0.0
+    # the tau of each positive s_k cancels exactly against -tau T
+    u0 = ((np.where(pos, eta, 0.0).sum(axis=1) + (pos.sum(axis=1) - T) * tau)
+          + np.log1p(np.exp(-np.abs(s))).sum(axis=1))
+    if order == 0:
+        return (u0,)
+    p = expit(s)
+    if order == 1:
+        return u0, p
+    w = p * (1.0 - p)
+    sw = np.maximum(w.sum(axis=1), 1e-300)[:, None, None]
+    hess = w[:, :, None] * w[:, None, :] / -sw
+    hess.reshape(len(w), -1)[:, ::eta.shape[1] + 1] += w  # the diagonals
+    return u0, p, hess
 
-    The intercepts are `cluster_effects` if given, else the profile roots.
-    Returns the first order + 1 of (value, score, Hessian); score and Hessian
-    are those of the profile log-likelihood, so they need the profile roots.
-    The Hessian is the Schur complement of the intercept block,
 
-        -sum_j [X_j' W_j X_j - (X_j' w_j)(w_j' X_j) / sum_k w_jk],
-
-    with w_jk = pi_jk (1 - pi_jk).
-    """
+def _loglik_eval(dataset: Dataset, beta, order: int, normalizer, R: int = 1,
+                 taus=None):
+    """(value, score, Hessian)[:order + 1] of the average log-likelihood, the
+    block normalizer(eta, T, tau, order) returning as many of A, dA, d2A."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    P = beta.shape[0]
-    if cluster_effects is None:
-        cluster_effects = _dataset_taus(dataset, beta)
-    value, score, hess = 0.0, np.zeros(P), np.zeros((P, P))
+    value = score = hess = 0.0
     for block in dataset.blocks:
-        s = block.X @ beta + cluster_effects[block.index][:, None]
-        value += float((block.y * s).sum() - np.logaddexp(0.0, s).sum())
+        eta = block.X @ beta
+        tau = _tau_batch(eta, block.T) if taus is None else taus[block.index]
+        out = normalizer(eta, block.T, tau, order)
+        value += float(R * (block.y * eta).sum() - out[0].sum())
         if order >= 1:
-            p = expit(s)
-            score += np.einsum("nk,nkp->p", block.y - p, block.X)
+            score += np.einsum("nk,nkp->p", R * block.y - out[1], block.X)
         if order >= 2:
-            w = p * (1.0 - p)
-            wx = w[:, :, None] * block.X
-            xw = wx.sum(axis=1)
-            hess -= (np.einsum("nkp,nkq->pq", block.X, wx)
-                     - (xw.T / np.maximum(w.sum(axis=1), 1e-300)) @ xw)
-    N = dataset.n_individuals
-    return (value / N, score / N, hess / N)[:order + 1]
+            hess -= np.einsum("nkp,nkq->pq", block.X, out[2] @ block.X)
+    scale = R * dataset.n_individuals
+    return (value / scale, score / scale, hess / scale)[:order + 1]
+
+
+def _olr_eval(dataset: Dataset, beta, order: int, cluster_effects=None):
+    """`_loglik_eval` of the ordinary likelihood at `cluster_effects`, else
+    at the profile roots, which the profile score and Hessian need."""
+    return _loglik_eval(dataset, beta, order, _limit_batch, 1, cluster_effects)
 
 
 def olr_avg_loglik(dataset: Dataset, beta, cluster_effects) -> float:

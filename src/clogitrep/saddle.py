@@ -17,7 +17,8 @@ The diagnostics run over a whole block of same-size clusters at once
 over all its rows on those roots, and one evaluation of u(theta) per row
 on the 2*nodes grid theta_m = -pi + pi m / nodes.  The even nodes of that
 grid are the nodes-point grid and m = nodes is theta = 0, so the one array
-gives u(0) and both trapezoid sums of the node-doubling check for every R.
+gives both trapezoid sums of the node-doubling check for every R.  The
+gaps are taken from the kernel's own u(0), `profile._limit_batch`.
 `rate_limit_check` and `contour_integral_g` are one-row calls into it.
 """
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import conditional, profile
 from .data import DataError
@@ -178,10 +178,8 @@ def rate_limit_block(eta, T, r_grid, quadrature_max_r: int = 0,
     if any(r < 1 for r in r_grid) or sorted(r_grid) != r_grid:
         raise ValueError("r_grid must be ascending with entries >= 1")
     tau = _taus(eta, T, ids)
-    s = eta + tau[:, None]
-    u0 = -tau * T + np.logaddexp(0.0, s).sum(axis=1)
-    # u'(0) = i (T - sum_k expit(eta_k + tau)): the profile root's residual
-    up0 = np.abs(T - expit(s).sum(axis=1))
+    u0, p = profile._limit_batch(eta, T, tau, 1)
+    up0 = np.abs(T - p.sum(axis=1))  # |u'(0)|, the root's residual
     values = np.empty((eta.shape[0], len(r_grid)))
     for c, R in enumerate(r_grid):
         try:

@@ -53,9 +53,11 @@ class SimConfig:
         rv = tuple(int(r) for r in self.r_values)
         if not rv or any(r < 1 for r in rv) or list(rv) != sorted(rv):
             raise ValueError("r_values must be ascending with entries >= 1")
+        bt = tuple(float(b) for b in self.beta_true)
+        if len(bt) != 2 or not np.isfinite(bt).all():
+            raise ValueError("beta_true must be two finite reals")
         object.__setattr__(self, "r_values", rv)
-        object.__setattr__(self, "beta_true", tuple(float(b)
-                                                    for b in self.beta_true))
+        object.__setattr__(self, "beta_true", bt)
 
 
 @dataclass(frozen=True)

@@ -123,8 +123,7 @@ def _fit(dataset: Dataset, method: str, evaluate, cfg: SolverConfig | None,
     beta, f, gnorm, its, trace = _maximize(
         evaluate, dataset.n_covariates, cfg or SolverConfig(), x0)
     return FitResult(beta_hat=beta, objective=f, grad_inf_norm=gnorm,
-                     iterations=its, method=method, converged=True,
-                     objective_trace=trace,
+                     iterations=its, method=method, objective_trace=trace,
                      dropped_concordant=dataset.dropped_concordant)
 
 

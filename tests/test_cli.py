@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from clogitrep import cli
 from clogitrep.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from clogitrep.simulate import SimConfig, SimulationSummary
 
 PAIR_ROWS = [
     (1, 1, 1.0), (1, 0, 0.0),
@@ -49,7 +51,6 @@ class TestFit:
                    "--format", "json"])
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
-        assert payload["converged"] is True
         assert payload["beta_hat"][0] == pytest.approx(math.log(3), abs=1e-7)
 
     def test_cmle_r1_matches_cmle(self, pair_csv, capsys):
@@ -123,6 +124,27 @@ class TestSimulate:
         rc = main(["simulate", "--replications", "1,x",
                    "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("beta_true", ["0.5", "0.5,0.8,9"])
+    def test_beta_true_needs_two_entries(self, tmp_path, beta_true, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--n-sims", "1", "--beta-true", beta_true,
+                   "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: beta_true")
+        assert not out.exists()
+
+    def test_defaults_are_sim_config_defaults(self, tmp_path, monkeypatch):
+        configs = []
+
+        def capture(cfg):
+            configs.append(cfg)
+            return SimulationSummary(rows=(), seed=cfg.seed, n_sims=0,
+                                     mean_dropped_concordant=0.0)
+
+        monkeypatch.setattr(cli, "run_study", capture)
+        assert main(["simulate", "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+        assert configs == [SimConfig()]
 
 
 class TestAsymptotics:

@@ -231,6 +231,33 @@ class TestReducedGrid:
         assert log_bound(M - 1) > -40
 
 
+LIMIT_ROWS = {
+    2: ([[0.3, -0.8]], [1]),
+    3: ([[1.2, -0.4, 0.1], [0.0, 2.0, -1.5]], [1, 2]),
+    5: ([[0.5, -1.0, 0.2, 1.5, -0.3], [2.0, -2.0, 0.7, 0.0, -0.6]], [2, 4]),
+    6: ([[-0.9, 0.4, 1.1, -0.2, 0.8, -1.6]], [3]),
+}
+
+
+@pytest.mark.parametrize("K", sorted(LIMIT_ROWS))
+def test_limit_normalizer_is_large_r_limit(K):
+    # log g = R u(0) - log(2 pi R sum w) / 2 + O(1/R) (Daniels 1954), and
+    # (1/R) of its eta-derivatives tend to pi and diag(w) - w w' / sum w
+    # at the same rate, so each error shrinks about 5x from R = 200 to 1000
+    eta, T = np.array(LIMIT_ROWS[K][0]), np.array(LIMIT_ROWS[K][1])
+    tau = profile._tau_batch(eta, T)
+    u0, pi, hess = profile._limit_batch(eta, T, tau, 2)
+    sum_w = (pi * (1.0 - pi)).sum(axis=1)
+    errors = []
+    for R in (200, 1000):
+        value, g, h = conditional._log_g_batch(eta, R, T, 2, tau)
+        errors.append(np.stack([
+            np.abs(value - R * u0 + 0.5 * np.log(2 * np.pi * R * sum_w)),
+            np.linalg.norm(g / R - pi, axis=1),
+            np.linalg.norm(h / R - hess, axis=(1, 2))]))
+    assert np.all(errors[1] * 3 <= errors[0])
+
+
 def test_kernel_memory_bounded(monkeypatch):
     # the full (n, M/2 + 1, K) temporaries of this batch take 85 MB each;
     # split by rows, each stays under the kernel's 32 MB budget

@@ -18,6 +18,14 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(r_values=(3, 1))
 
+    @pytest.mark.parametrize("beta_true", [
+        (0.5,), (0.5, 0.8, 9.0), (), (float("nan"), 0.8), (0.5, float("inf")),
+    ])
+    def test_beta_true_must_be_two_finite_reals(self, beta_true):
+        # the design has exactly two covariates
+        with pytest.raises(ValueError, match="beta_true"):
+            SimConfig(beta_true=beta_true)
+
 
 class TestGenerateDataset:
     def test_design_shape(self):

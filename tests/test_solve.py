@@ -17,7 +17,6 @@ from conftest import random_five_sets, random_matched_pairs, random_one_to_k
 class TestSolveMle:
     def test_matched_pair_closed_form(self, matched_pair_dataset):
         fit = solve_mle(matched_pair_dataset)
-        assert fit.converged
         assert fit.beta_hat[0] == pytest.approx(2 * math.log(3), abs=1e-8)
         assert fit.grad_inf_norm <= 1e-8
         assert fit.tau is not None and len(fit.tau) == 4
