@@ -6,8 +6,10 @@ about the covariate effects and are removed at screening.
 
 Every Dataset is packed by `Dataset.from_arrays`, which screens one row per
 individual in numpy and stacks one SizeBlock per cluster size, a Dataset's
-only storage.  `read_csv` streams a file into it in one csv pass, converting
-_CHUNK_ROWS rows at a time; `screen_dataset` concatenates Clusters into it.
+only storage; `_checked_rows` alone holds the rules for a valid row.
+`read_csv` streams a file into it in one csv pass, parsing _CHUNK_ROWS rows
+at a time, and re-reads the file row by row only to name the line of a bad
+row; `screen_dataset` concatenates Clusters into it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ __all__ = [
     "read_csv",
 ]
 
-# rows that read_csv holds as strings before converting them; larger chunks
+# rows that read_csv holds as strings before parsing them; larger chunks
 # raise the read's peak memory and are no faster
 _CHUNK_ROWS = 1024
 
@@ -45,10 +47,10 @@ def _checked_rows(X, y):
         raise DataError("covariates must be an n x P matrix with P >= 1 "
                         "and outcomes a vector of length n")
     if not np.all(np.isfinite(X)):
-        raise DataError("covariate entries must be finite")
+        raise DataError("covariate value is not finite")
     # checked before the cast to int, which would turn 0.7 into 0
     if not np.all((y == 0) | (y == 1)):
-        raise DataError("outcomes must be 0 or 1")
+        raise DataError("outcome must be 0 or 1")
     return X, y.astype(int)
 
 
@@ -196,76 +198,61 @@ def _blank(row) -> bool:
 
 
 def _columns(rows, width: int):
-    """The cluster ids, outcomes and covariates of a chunk of csv rows,
-    converted column by column, or None if any row fails a check."""
+    """The cluster ids, outcomes and covariates of the csv rows that are not
+    blank, parsed column by column; the values are left to _checked_rows.
+
+    Raises DataError for a row of the wrong width, an outcome that int()
+    rejects or a covariate that float() rejects.
+    """
     if {len(row) for row in rows} != {width}:
         rows = [row for row in rows if not _blank(row)]
-        if {len(row) for row in rows} != {width}:
-            return None
-    ids, y, *x = zip(*rows)
+        for row in rows:
+            if len(row) != width:
+                raise DataError(f"expected {width} fields, got {len(row)}")
+    # an all-blank chunk gives empty columns
+    ids, y, *x = list(zip(*rows)) or [()] * width
     try:
-        y, x = list(map(int, y)), np.array(x, dtype=float).T
+        y = list(map(int, y))
     except ValueError:
-        return None
-    return (ids, y, x) if {*y} <= {0, 1} and np.isfinite(x).all() else None
+        for v in y:  # name the first outcome that int() rejects
+            try:
+                int(v)
+            except ValueError:
+                raise DataError(f"outcome '{v}' is not an integer") from None
+    try:
+        x = np.array(x, dtype=float).T
+    except ValueError:
+        raise DataError("malformed covariate value") from None
+    return ids, y, x
 
 
-def _record_lines(path, first: int, count: int) -> list[int]:
-    """The physical lines on which csv records first .. first + count - 1
-    start, the header being record 0; a quoted field can span lines."""
-    lines, start = [], 1
+def _locate(path, width: int):
+    """Re-read the data rows of `path` one by one with _columns and
+    _checked_rows, and raise DataError at the first that fails, naming the
+    physical line on which it starts (a quoted field can span lines).
+    Returns if every row passes."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for record, _ in zip(range(first + count), reader):
-            if record >= first:
-                lines.append(start)
-            start = reader.line_num + 1
-    return lines
-
-
-def _scan(path, rows, first: int, width: int):
-    """Check a chunk of csv rows row by row, the first being record `first`
-    of the file.
-
-    Raises DataError at the first bad row, naming the physical line it
-    starts on; else returns the cluster ids, outcomes and covariates of the
-    rows that are not blank.
-    """
-    ids, outcomes, covariates = [], [], []
-    for line, row in zip(_record_lines(path, first, len(rows)), rows):
-        where = f"{path}: line {line}:"
-        if len(row) != width:
-            if _blank(row):
-                continue
-            raise DataError(f"{where} expected {width} fields, got {len(row)}")
-        try:
-            y = int(row[1])
-        except ValueError:
-            raise DataError(f"{where} outcome '{row[1]}' is not an "
-                            "integer") from None
-        if y not in (0, 1):
-            raise DataError(f"{where} outcome must be 0 or 1")
-        try:
-            x = np.array(row[2:], dtype=float)
-        except ValueError:
-            raise DataError(f"{where} malformed covariate value") from None
-        if not np.isfinite(x).all():
-            raise DataError(f"{where} covariate value is not finite")
-        ids.append(row[0])
-        outcomes.append(y)
-        covariates.append(x)
-    return ids, outcomes, np.array(covariates).reshape(-1, width - 2)
+        next(reader)
+        line = reader.line_num + 1
+        for row in reader:
+            try:
+                _, y, x = _columns([row], width)
+                _checked_rows(x, y)
+            except DataError as exc:
+                raise DataError(f"{path}: line {line}: {exc}") from None
+            line = reader.line_num + 1
 
 
 def read_csv(path) -> Dataset:
     """Read `cluster_id,y,x1,...,xP` rows, group by cluster id, and screen.
 
     Rows are grouped by cluster_id, stripped of padding, in first-appearance
-    order; input order is preserved within each cluster.  The file is read
-    in one pass, _CHUNK_ROWS rows at a time: a chunk is converted column by
-    column, and one that fails any check is checked row by row, so that
-    errors report the 1-based physical line on which the first bad row
-    starts.
+    order; input order is preserved within each cluster.  The file is parsed
+    in one pass, _CHUNK_ROWS rows at a time, and the parsed columns are
+    checked once, by `Dataset.from_arrays`.  If either step fails, the file
+    is re-read row by row so that the error reports the 1-based physical
+    line on which the first bad row starts.
     """
     names, codes, outcomes, chunks = {}, [], [], []
     with open(path, newline="") as fh:
@@ -278,15 +265,17 @@ def read_csv(path) -> Dataset:
         if len(header) < 3 or header[0] != "cluster_id" or header[1] != "y":
             raise DataError(f"{path}: line 1: expected header "
                             "'cluster_id,y,x1,...,xP'")
-        for first in itertools.count(1, _CHUNK_ROWS):
-            rows = list(itertools.islice(reader, _CHUNK_ROWS))
-            if not rows:
-                break
-            ids, y, x = (_columns(rows, len(header))
-                         or _scan(path, rows, first, len(header)))
-            codes += [names.setdefault(i.strip(), len(names)) for i in ids]
-            outcomes += y
-            chunks.append(x)
-    if not codes:
-        raise DataError(f"{path}: no data rows")
-    return Dataset.from_arrays(codes, outcomes, np.concatenate(chunks))
+        width = len(header)
+        try:
+            while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+                ids, y, x = _columns(rows, width)
+                codes += [names.setdefault(i.strip(), len(names))
+                          for i in ids]
+                outcomes += y
+                chunks.append(x)
+            if not codes:
+                raise DataError(f"{path}: no data rows")
+            return Dataset.from_arrays(codes, outcomes, np.concatenate(chunks))
+        except DataError:
+            _locate(path, width)
+            raise

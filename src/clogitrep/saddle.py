@@ -175,8 +175,9 @@ def rate_limit_block(eta, T, r_grid, quadrature_max_r: int = 0,
     eta = np.asarray(eta, dtype=float)
     T = np.asarray(T).astype(int)
     r_grid = [int(r) for r in r_grid]
-    if any(r < 1 for r in r_grid) or sorted(r_grid) != r_grid:
-        raise ValueError("r_grid must be ascending with entries >= 1")
+    if (any(r < 1 for r in r_grid)
+            or any(a >= b for a, b in zip(r_grid, r_grid[1:]))):
+        raise ValueError("r_grid must be strictly ascending with entries >= 1")
     tau = _taus(eta, T, ids)
     u0, p = profile._limit_batch(eta, T, tau, 1)
     up0 = np.abs(T - p.sum(axis=1))  # |u'(0)|, the root's residual

@@ -16,6 +16,7 @@ statistical, not bitwise.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -48,11 +49,14 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.J < 1 or self.K < 2 or self.n_sims < 1 or self.workers < 1:
-            raise ValueError("invalid simulation configuration")
+        for name, least in (("J", 1), ("K", 2), ("n_sims", 1), ("workers", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         rv = tuple(int(r) for r in self.r_values)
-        if not rv or any(r < 1 for r in rv) or list(rv) != sorted(rv):
-            raise ValueError("r_values must be ascending with entries >= 1")
+        if not rv or rv[0] < 1 or any(a >= b for a, b in zip(rv, rv[1:])):
+            raise ValueError("r_values must be strictly ascending with "
+                             "entries >= 1")
         bt = tuple(float(b) for b in self.beta_true)
         if len(bt) != 2 or not np.isfinite(bt).all():
             raise ValueError("beta_true must be two finite reals")
@@ -139,10 +143,6 @@ def _fit_replicate(cfg: SimConfig, index: int):
         return None
 
 
-def _fit_replicate_star(args):
-    return _fit_replicate(*args)
-
-
 def run_study(cfg: SimConfig) -> SimulationSummary:
     """Monte Carlo means and sample variances of the MLE and each CMLE(R).
 
@@ -150,12 +150,11 @@ def run_study(cfg: SimConfig) -> SimulationSummary:
     degenerate draw) are excluded from every method's summary so the
     comparison stays paired across methods.
     """
-    jobs = [(cfg, i) for i in range(cfg.n_sims)]
     if cfg.workers > 1 and cfg.n_sims > 1:
         chunk = max(1, cfg.n_sims // (cfg.workers * 8))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_fit_replicate_star, jobs,
-                                    chunksize=chunk))
+            results = list(pool.map(_fit_replicate, itertools.repeat(cfg),
+                                    range(cfg.n_sims), chunksize=chunk))
     else:
         results = [_fit_replicate(cfg, i) for i in range(cfg.n_sims)]
 

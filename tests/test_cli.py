@@ -125,6 +125,27 @@ class TestSimulate:
                    "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--clusters", "0", "J must be >= 1, got 0"),
+        ("--cluster-size", "1", "K must be >= 2, got 1"),
+        ("--n-sims", "0", "n_sims must be >= 1, got 0"),
+        ("--workers", "0", "workers must be >= 1, got 0"),
+    ])
+    def test_bad_field_is_named(self, tmp_path, flag, value, message, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--n-sims", "1", flag, value, "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_repeated_replication_rejected(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--n-sims", "1", "--clusters", "20",
+                   "--replications", "1,1,2", "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert "strictly ascending" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("beta_true", ["0.5", "0.5,0.8,9"])
     def test_beta_true_needs_two_entries(self, tmp_path, beta_true, capsys):
         out = tmp_path / "s.csv"
@@ -167,6 +188,13 @@ class TestAsymptotics:
         rc = main(["asymptotics", "--input", flat_csv, "--beta", "0,1"])
         assert rc == EXIT_INPUT
         assert "covariates" in capsys.readouterr().err
+
+    def test_repeated_r_rejected(self, flat_csv, capsys):
+        rc = main(["asymptotics", "--input", flat_csv, "--beta", "0",
+                   "--r-grid", "1,1"])
+        assert rc == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: r_grid must be strictly")
 
     def test_out_file_and_manifest(self, flat_csv, tmp_path):
         out = str(tmp_path / "asy.csv")

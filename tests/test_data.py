@@ -205,6 +205,35 @@ class TestCsvReader:
             read_csv(path)
 
 
+@pytest.mark.parametrize("y,x,reader_reason", [
+    ("2", "1.0", None),
+    ("-1", "1.0", None),
+    ("0.5", "1.0", "outcome '0.5' is not an integer"),
+    ("1", "nan", None),
+    ("1", "inf", None),
+    ("1", "1e400", None),
+    ("1", "", "expected 3 fields, got 2"),  # a short row: no covariate
+])
+def test_one_rule_set(tmp_path, y, x, reader_reason):
+    """A bad third row is rejected by Cluster, Dataset.from_arrays and
+    read_csv alike.  Where the rule is one on values, the reader gives the
+    from_arrays message, prefixed by the file and line."""
+    X = [[0.0], [1.0]] + ([[float(x)]] if x else [])
+    outcomes = [0.0, 1.0, float(y)]
+    with pytest.raises(DataError) as from_cluster:
+        Cluster(X, outcomes)
+    with pytest.raises(DataError) as from_arrays:
+        Dataset.from_arrays([0, 0, 0], outcomes, X)
+    assert str(from_cluster.value) == str(from_arrays.value)
+    path = tmp_path / "d.csv"
+    path.write_text("cluster_id,y,x1\na,0,0.0\na,1,1.0\n"
+                    + (f"a,{y},{x}\n" if x else f"a,{y}\n"))
+    with pytest.raises(DataError) as from_reader:
+        read_csv(path)
+    assert str(from_reader.value) == (
+        f"{path}: line 4: {reader_reason or from_arrays.value}")
+
+
 def test_dataset_and_blocks_compare_by_identity(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("cluster_id,y,x1\na,1,1.0\na,0,0.5\nb,0,2.0\nb,1,0.0\n")

@@ -119,6 +119,12 @@ def test_non_finite_beta_rejected(mixed_csv, beta, capsys):
     assert "--beta: entries must be finite" in err
 
 
+@pytest.mark.parametrize("r_grid", [[1, 1], [1, 2, 2, 5], [5, 2], [0, 1]])
+def test_r_grid_strictly_ascending(r_grid):
+    with pytest.raises(ValueError, match="strictly ascending"):
+        rate_limit_block(np.zeros((1, 3)), [1], r_grid)
+
+
 def test_non_finite_eta_names_cluster():
     eta = np.zeros((3, 4))
     eta[1, 2] = np.nan

@@ -17,6 +17,8 @@ class TestSimConfig:
             SimConfig(K=1)
         with pytest.raises(ValueError):
             SimConfig(r_values=(3, 1))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            SimConfig(r_values=(1, 1, 2))
 
     @pytest.mark.parametrize("beta_true", [
         (0.5,), (0.5, 0.8, 9.0), (), (float("nan"), 0.8), (0.5, float("inf")),
