@@ -157,6 +157,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.time()
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise DataError(f"--out: no directory for {args.out}")
     cfg = SimConfig(J=args.clusters, K=args.cluster_size,
                     n_sims=args.n_sims,
                     r_values=tuple(_parse_int_list(args.replications,
@@ -266,7 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SolverError, QuadratureError) as exc:

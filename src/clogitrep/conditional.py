@@ -196,8 +196,8 @@ def log_g(eta, R: int, T: int) -> LogNormalizer:
 # ---------------------------------------------------------------------------
 
 def _clr_eval(dataset: Dataset, R: int, beta, order: int):
-    """Average R-replicated conditional log-likelihood and its derivatives,
-    assembled by `profile._loglik_eval` with A = log g."""
+    """Average R-replicated conditional log-likelihood, its derivatives and
+    the profile roots, assembled by `profile._loglik_eval` with A = log g."""
     if R < 1:
         raise DataError("replication count R must be >= 1")
     return profile._loglik_eval(

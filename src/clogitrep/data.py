@@ -166,6 +166,7 @@ class FitResult:
     grad_inf_norm: float
     iterations: int
     method: str
+    # the profile roots at beta_hat, one per cluster, from the last evaluation
     tau: np.ndarray | None = None
     objective_trace: list[float] = field(default_factory=list)
     dropped_concordant: int = 0

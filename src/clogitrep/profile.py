@@ -110,20 +110,21 @@ def _limit_batch(eta: np.ndarray, T, tau: np.ndarray, order: int):
 def _loglik_eval(dataset: Dataset, beta, order: int, normalizer, R: int = 1,
                  taus=None):
     """(value, score, Hessian)[:order + 1] of the average log-likelihood, the
-    block normalizer(eta, T, tau, order) returning as many of A, dA, d2A."""
+    block normalizer(eta, T, tau, order) returning as many of A, dA, d2A,
+    then the intercepts used: `taus`, else one `_dataset_taus` root pass."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    taus = _dataset_taus(dataset, beta) if taus is None else taus
     value = score = hess = 0.0
     for block in dataset.blocks:
         eta = block.X @ beta
-        tau = _tau_batch(eta, block.T) if taus is None else taus[block.index]
-        out = normalizer(eta, block.T, tau, order)
+        out = normalizer(eta, block.T, taus[block.index], order)
         value += float(R * (block.y * eta).sum() - out[0].sum())
         if order >= 1:
             score += np.einsum("nk,nkp->p", R * block.y - out[1], block.X)
         if order >= 2:
             hess -= np.einsum("nkp,nkq->pq", block.X, out[2] @ block.X)
     scale = R * dataset.n_individuals
-    return (value / scale, score / scale, hess / scale)[:order + 1]
+    return (value / scale, score / scale, hess / scale)[:order + 1] + (taus,)
 
 
 def _olr_eval(dataset: Dataset, beta, order: int, cluster_effects=None):

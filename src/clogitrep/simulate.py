@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import DataError, Dataset
-from .solve import SolverConfig, SolverError, solve_cmle_replicated, solve_mle
+from .solve import SolverError, solve_cmle_replicated, solve_mle
 
 __all__ = [
     "SimConfig",
@@ -127,18 +127,16 @@ def generate_dataset(cfg: SimConfig, replicate_index: int) -> Dataset:
 
 
 def _fit_replicate(cfg: SimConfig, index: int):
-    """Fit every method on one replicate; None signals a failed replicate."""
-    solver = SolverConfig()
+    """One replicate's (1 + len(r_values), 2) estimates, the MLE's then each
+    CMLE(R)'s, and its dropped concordant count; None if any fit fails."""
     try:
         dataset = generate_dataset(cfg, index)
-        mle = solve_mle(dataset, solver)
-        cmles = {}
+        fits = [solve_mle(dataset).beta_hat]
         warm = None
         for R in cfg.r_values:
-            fit = solve_cmle_replicated(dataset, R, solver, x0=warm)
-            warm = fit.beta_hat
-            cmles[R] = fit.beta_hat
-        return (mle.beta_hat, cmles, dataset.dropped_concordant)
+            warm = solve_cmle_replicated(dataset, R, x0=warm).beta_hat
+            fits.append(warm)
+        return np.stack(fits), dataset.dropped_concordant
     except (SolverError, DataError):
         return None
 
@@ -162,19 +160,15 @@ def run_study(cfg: SimConfig) -> SimulationSummary:
     n_failed = cfg.n_sims - len(ok)
     if not ok:
         raise SolverError("every replicate failed; nothing to summarize")
-
-    def summarize(method, R, stack):
-        arr = np.stack(stack)
-        mean = arr.mean(axis=0)
-        var = (arr.var(axis=0, ddof=1) if arr.shape[0] > 1
-               else np.full(arr.shape[1], np.nan))
-        return MethodSummary(method=method, R=R, mean=mean, variance=var,
-                             n_used=arr.shape[0], n_failed=n_failed)
-
-    rows = [summarize("MLE", None, [r[0] for r in ok])]
-    for R in cfg.r_values:
-        rows.append(summarize("CMLE", R, [r[1][R] for r in ok]))
-    mean_dropped = float(np.mean([r[2] for r in ok]))
-    return SimulationSummary(rows=tuple(rows), seed=cfg.seed,
-                             n_sims=cfg.n_sims,
+    # (replicates, methods, coefficients)
+    estimates = np.stack([r[0] for r in ok])
+    means = estimates.mean(axis=0)
+    variances = (estimates.var(axis=0, ddof=1) if len(ok) > 1
+                 else np.full(means.shape, np.nan))
+    labels = [("MLE", None)] + [("CMLE", R) for R in cfg.r_values]
+    rows = tuple(MethodSummary(method=method, R=R, mean=mean, variance=var,
+                               n_used=len(ok), n_failed=n_failed)
+                 for (method, R), mean, var in zip(labels, means, variances))
+    mean_dropped = float(np.mean([r[1] for r in ok]))
+    return SimulationSummary(rows=rows, seed=cfg.seed, n_sims=cfg.n_sims,
                              mean_dropped_concordant=mean_dropped)

@@ -3,9 +3,10 @@
 All three objectives (profile, conditional, replicated conditional) are
 concave with closed-form score and Hessian, so the solver is a damped Newton
 method with an Armijo backtracking line search.  Each trial point is
-evaluated once, for value, score and Hessian together; the accepted point's
-score and Hessian give the next Newton step.  If the Newton direction fails
-to be an ascent direction the step falls back to the gradient.
+evaluated once, for value, score, Hessian and profile roots together; the
+accepted point's score and Hessian give the next Newton step, and the
+maximizer's roots the fit's `tau`.  If the Newton direction fails to be an
+ascent direction the step falls back to the gradient.
 """
 
 from __future__ import annotations
@@ -45,8 +46,13 @@ class SolverConfig:
     divergence_norm: float = 1e4
 
     def __post_init__(self):
-        if min(self.grad_tol, self.max_iter, self.divergence_norm) <= 0:
-            raise ValueError("solver config entries must be positive")
+        for name in ("grad_tol", "divergence_norm"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        n = self.max_iter
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -76,19 +82,21 @@ def _check_column_rank(dataset: Dataset) -> None:
 
 
 def _maximize(evaluate, p: int, cfg: SolverConfig,
-              x0=None) -> tuple[np.ndarray, float, float, int, list[float]]:
+              x0=None) -> tuple[np.ndarray, tuple, int, list[float]]:
     """Damped Newton ascent on a concave objective.
 
-    evaluate(x) returns (value, score, Hessian) and is called once per trial
-    point of the line search, the starting point included.
+    evaluate(x) returns (value, score, Hessian, ...) and is called once per
+    trial point of the line search, the starting point included.  Returns
+    (maximizer, its evaluation whole, iterations, objective trace).
     """
     x = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
-    f, g, H = evaluate(x)
-    trace = [f]
+    state = evaluate(x)
+    trace = [state[0]]
     for it in range(cfg.max_iter + 1):
+        f, g, H = state[:3]
         gnorm = float(np.abs(g).max())
         if gnorm <= cfg.grad_tol:
-            return x, f, gnorm, it, trace
+            return x, state, it, trace
         if it == cfg.max_iter:
             raise SolverError("max iterations exceeded")
         try:
@@ -101,8 +109,8 @@ def _maximize(evaluate, p: int, cfg: SolverConfig,
         t = 1.0
         while True:
             x_new = x + t * d
-            f_new, g_new, H_new = evaluate(x_new)
-            if f_new >= f + ARMIJO_C * t * slope:
+            state_new = evaluate(x_new)
+            if state_new[0] >= f + ARMIJO_C * t * slope:
                 break
             t *= STEP_SHRINK
             if t < 1e-14:
@@ -110,8 +118,8 @@ def _maximize(evaluate, p: int, cfg: SolverConfig,
                 raise SolverError("line search stalled: no step along the "
                                   "search direction increased the objective "
                                   f"(|g|inf = {gnorm:.3g})")
-        x, f, g, H = x_new, f_new, g_new, H_new
-        trace.append(f)
+        x, state = x_new, state_new
+        trace.append(state[0])
         if np.abs(x).max() > cfg.divergence_norm:
             raise SolverError("divergence: possible separation / "
                               "nonexistent MLE")
@@ -120,27 +128,19 @@ def _maximize(evaluate, p: int, cfg: SolverConfig,
 def _fit(dataset: Dataset, method: str, evaluate, cfg: SolverConfig | None,
          x0) -> FitResult:
     _check_column_rank(dataset)
-    beta, f, gnorm, its, trace = _maximize(
+    beta, (f, g, _, tau), its, trace = _maximize(
         evaluate, dataset.n_covariates, cfg or SolverConfig(), x0)
-    return FitResult(beta_hat=beta, objective=f, grad_inf_norm=gnorm,
-                     iterations=its, method=method, objective_trace=trace,
+    return FitResult(beta_hat=beta, objective=f,
+                     grad_inf_norm=float(np.abs(g).max()), iterations=its,
+                     method=method, tau=tau, objective_trace=trace,
                      dropped_concordant=dataset.dropped_concordant)
 
 
 def solve_mle(dataset: Dataset, cfg: SolverConfig | None = None,
               x0=None) -> FitResult:
     """Maximize the profile log-likelihood (ordinary logistic MLE for beta)."""
-    tau = None
-
-    def evaluate(beta):
-        nonlocal tau
-        tau = profile._dataset_taus(dataset, beta)
-        return profile._olr_eval(dataset, beta, 2, tau)
-
-    fit = _fit(dataset, "MLE", evaluate, cfg, x0)
-    # _maximize returns the point it evaluated last
-    fit.tau = tau
-    return fit
+    return _fit(dataset, "MLE", lambda b: profile._olr_eval(dataset, b, 2),
+                cfg, x0)
 
 
 def solve_cmle(dataset: Dataset, cfg: SolverConfig | None = None,

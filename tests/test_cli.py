@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -67,9 +68,9 @@ class TestFit:
         rc = main(["fit", "--input", pair_csv, "--method", "mle",
                    "--format", "csv", "--out", out])
         assert rc == EXIT_OK
-        header = open(out).readline().strip().split(",")
+        header = Path(out).read_text().splitlines()[0].split(",")
         assert header[:2] == ["method", "beta_1"]
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["config"]["method"] == "mle"
         assert "runtime_seconds" in manifest
         assert manifest["read_s"] >= 0.0 and manifest["solve_s"] >= 0.0
@@ -86,6 +87,23 @@ class TestFit:
         rc = main(["fit", "--input", str(tmp_path / "none.csv"),
                    "--method", "mle"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--method", "mle"],
+        ["asymptotics", "--beta", "0"],
+    ])
+    def test_directory_input_is_input_error(self, tmp_path, command, capsys):
+        rc = main(command + ["--input", str(tmp_path)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_input_error(self, pair_csv, tol, capsys):
+        rc = main(["fit", "--input", pair_csv, "--method", "mle",
+                   "--tol", tol])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: grad_tol must be finite and > 0, got {tol}\n")
 
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -107,15 +125,15 @@ class TestSimulate:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(args + ["--out", p1]) == EXIT_OK
         assert main(args + ["--out", p2]) == EXIT_OK
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        manifest = json.loads(open(p1 + ".manifest.json").read())
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        manifest = json.loads(Path(p1 + ".manifest.json").read_text())
         assert manifest["seed"] == 7
 
     def test_csv_rows(self, tmp_path):
         out = str(tmp_path / "s.csv")
         main(["simulate", "--clusters", "25", "--n-sims", "2",
               "--replications", "1,5", "--seed", "2", "--out", out])
-        rows = list(csv.DictReader(open(out)))
+        rows = list(csv.DictReader(Path(out).read_text().splitlines()))
         assert [r["method"] for r in rows] == ["MLE", "CMLE", "CMLE"]
         assert [r["R"] for r in rows] == ["", "1", "5"]
         assert all(int(r["n_used"]) + int(r["n_failed"]) == 2 for r in rows)
@@ -154,6 +172,14 @@ class TestSimulate:
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: beta_true")
         assert not out.exists()
+
+    def test_missing_out_directory_rejected_before_study(self, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_study", None)  # never reached
+        out = tmp_path / "nodir" / "s.csv"
+        rc = main(["simulate", "--n-sims", "1", "--out", str(out)])
+        assert rc == EXIT_INPUT
+        assert str(out.parent) in capsys.readouterr().err
 
     def test_defaults_are_sim_config_defaults(self, tmp_path, monkeypatch):
         configs = []
@@ -201,8 +227,8 @@ class TestAsymptotics:
         rc = main(["asymptotics", "--input", flat_csv, "--beta", "0",
                    "--r-grid", "1,2", "--out", out])
         assert rc == EXIT_OK
-        assert open(out).readline().startswith("cluster,tau,u0")
-        manifest = json.loads(open(out + ".manifest.json").read())
+        assert Path(out).read_text().startswith("cluster,tau,u0")
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["read_s"] >= 0.0 and manifest["diagnose_s"] >= 0.0
 
 

@@ -68,11 +68,32 @@ def test_line_search_stall_raises_at_once():
     assert calls < 100
 
 
-@pytest.mark.parametrize("module, name, solver", [
+def test_maximize_returns_last_evaluation_whole():
+    # an evaluation may carry more than (value, score, Hessian); the
+    # maximizer's comes back as evaluated, the extra element included
+    evaluations = []
+
+    def evaluate(x):
+        evaluations.append((-float((x - 1.0) @ (x - 1.0)), 2.0 * (1.0 - x),
+                            -2.0 * np.eye(2), object()))
+        return evaluations[-1]
+
+    x, state, iterations, trace = _maximize(evaluate, 2, SolverConfig())
+    np.testing.assert_array_equal(x, [1.0, 1.0])
+    assert iterations == 1 and len(evaluations) == 2
+    assert state is evaluations[-1]
+    assert trace == [-2.0, 0.0]
+
+
+# each solver with the evaluation it calls once per trial point
+SOLVERS = [
     (profile, "_olr_eval", solve_mle),
     (conditional, "_clr_eval", solve_cmle),
     (conditional, "_clr_eval", lambda ds: solve_cmle_replicated(ds, 5)),
-])
+]
+
+
+@pytest.mark.parametrize("module, name, solver", SOLVERS)
 def test_one_derivative_call_per_iterate(monkeypatch, module, name, solver):
     # no step on this fixture backtracks, so each iterate is one trial point
     calls = []
@@ -89,20 +110,21 @@ def test_one_derivative_call_per_iterate(monkeypatch, module, name, solver):
     assert calls == [2] * (fit.iterations + 1)
 
 
-def test_mle_reuses_roots_of_accepted_point(monkeypatch):
+@pytest.mark.parametrize("module, name, solver", SOLVERS)
+def test_fit_reuses_roots_of_accepted_point(monkeypatch, module, name, solver):
     # one root pass per objective call: FitResult.tau comes from the last
     # one rather than from a pass of its own at beta_hat
     dataset_taus = profile._dataset_taus
-    counts = {"_olr_eval": 0, "_dataset_taus": 0}
-    for name in counts:
-        def counted(*args, _name=name, _original=getattr(profile, name)):
-            counts[_name] += 1
+    counts = {name: 0, "_dataset_taus": 0}
+    for owner, attr in ((module, name), (profile, "_dataset_taus")):
+        def counted(*args, _attr=attr, _original=getattr(owner, attr)):
+            counts[_attr] += 1
             return _original(*args)
 
-        monkeypatch.setattr(profile, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     ds = random_five_sets(41)
-    fit = solve_mle(ds)
-    assert counts["_dataset_taus"] == counts["_olr_eval"] == fit.iterations + 1
+    fit = solver(ds)
+    assert counts["_dataset_taus"] == counts[name] == fit.iterations + 1
     np.testing.assert_array_equal(fit.tau, dataset_taus(ds, fit.beta_hat))
 
 
@@ -244,6 +266,26 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=-1.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("grad_tol", 0.0, "grad_tol must be finite and > 0, got 0.0"),
+        ("grad_tol", math.inf, "grad_tol must be finite and > 0, got inf"),
+        ("grad_tol", math.nan, "grad_tol must be finite and > 0, got nan"),
+        ("divergence_norm", math.inf,
+         "divergence_norm must be finite and > 0, got inf"),
+        ("divergence_norm", -1.0,
+         "divergence_norm must be finite and > 0, got -1.0"),
+        ("max_iter", 0, "max_iter must be an integer >= 1, got 0"),
+        ("max_iter", 2.5, "max_iter must be an integer >= 1, got 2.5"),
+        ("max_iter", 3.0, "max_iter must be an integer >= 1, got 3.0"),
+    ])
+    def test_each_field_checked(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            SolverConfig(**{field: value})
+        assert str(err.value) == message
+
+    def test_integer_types_accepted(self):
+        assert SolverConfig(max_iter=np.int64(5)).max_iter == 5
 
 
 def test_profile_score_stationary_at_mle():
