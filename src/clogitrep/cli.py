@@ -159,6 +159,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     t0 = time.time()
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise DataError(f"--out: no directory for {args.out}")
+    if os.path.isdir(args.out):
+        raise DataError(f"--out: {args.out} is a directory")
     cfg = SimConfig(J=args.clusters, K=args.cluster_size,
                     n_sims=args.n_sims,
                     r_values=tuple(_parse_int_list(args.replications,

@@ -195,14 +195,16 @@ def log_g(eta, R: int, T: int) -> LogNormalizer:
 # dataset-level likelihood and score
 # ---------------------------------------------------------------------------
 
-def _clr_eval(dataset: Dataset, R: int, beta, order: int):
+def _clr_eval(dataset: Dataset, R: int, beta, order: int, start=None):
     """Average R-replicated conditional log-likelihood, its derivatives and
-    the profile roots, assembled by `profile._loglik_eval` with A = log g."""
+    the profile roots, solved from the roots `start`, assembled by
+    `profile._loglik_eval` with A = log g."""
     if R < 1:
         raise DataError("replication count R must be >= 1")
     return profile._loglik_eval(
         dataset, beta, order,
-        lambda eta, T, tau, order: _log_g_batch(eta, R, T, order, tau), R)
+        lambda eta, T, tau, order: _log_g_batch(eta, R, T, order, tau), R,
+        start=start)
 
 
 def clr_avg_loglik(dataset: Dataset, beta) -> float:

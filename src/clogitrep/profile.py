@@ -33,14 +33,15 @@ _TAU_RESIDUAL_TOL = 1e-12
 _TAU_MAX_STEPS = 100
 
 
-def _tau_batch(eta: np.ndarray, T: np.ndarray) -> np.ndarray:
+def _tau_batch(eta: np.ndarray, T: np.ndarray, start=None) -> np.ndarray:
     """Profile roots for a batch of same-size clusters.
 
     eta is (n, K), T is (n,) with 1 <= T <= K-1.  The root equation's left
     side is strictly increasing in tau, and the root lies in the analytic
-    bracket logit(T/K) -/+ max_k|eta_k|.  Bracketed Newton from the centre:
-    each residual's sign moves one end of the bracket to the current tau,
-    and a Newton step that would leave the bracket bisects it instead.
+    bracket logit(T/K) -/+ max_k|eta_k|.  Bracketed Newton from `start`,
+    (n,) and clipped into the bracket, else from the bracket's centre: each
+    residual's sign moves one end of the bracket to the current tau, and a
+    Newton step that would leave the bracket bisects it instead.
     """
     eta = np.asarray(eta, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -53,6 +54,8 @@ def _tau_batch(eta: np.ndarray, T: np.ndarray) -> np.ndarray:
     # passes the tolerance at large |tau|; bound it over the bracket, the
     # slope being at most K/4
     tol = np.maximum(_TAU_RESIDUAL_TOL, K / 4 * np.spacing(np.abs(tau) + amp))
+    if start is not None:
+        tau = np.clip(start, lo, hi)
     for _ in range(_TAU_MAX_STEPS):
         p = expit(eta + tau[:, None])
         f = p.sum(axis=1) - T
@@ -78,12 +81,15 @@ def profile_tau(cluster: Cluster, beta) -> float:
     return float(_tau_batch(eta[None, :], np.array([T]))[0])
 
 
-def _dataset_taus(dataset: Dataset, beta) -> np.ndarray:
-    """Profile roots for every cluster, one batch per cluster size."""
+def _dataset_taus(dataset: Dataset, beta, start=None) -> np.ndarray:
+    """Profile roots for every cluster, one batch per cluster size, each
+    solve starting from `start` (one entry per cluster) if it is given."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
     taus = np.empty(dataset.n_clusters)
     for block in dataset.blocks:
-        taus[block.index] = _tau_batch(block.X @ beta, block.T)
+        taus[block.index] = _tau_batch(
+            block.X @ beta, block.T,
+            None if start is None else start[block.index])
     return taus
 
 
@@ -108,12 +114,13 @@ def _limit_batch(eta: np.ndarray, T, tau: np.ndarray, order: int):
 
 
 def _loglik_eval(dataset: Dataset, beta, order: int, normalizer, R: int = 1,
-                 taus=None):
+                 taus=None, start=None):
     """(value, score, Hessian)[:order + 1] of the average log-likelihood, the
     block normalizer(eta, T, tau, order) returning as many of A, dA, d2A,
-    then the intercepts used: `taus`, else one `_dataset_taus` root pass."""
+    then the intercepts used: `taus`, else one `_dataset_taus` root pass
+    from the roots `start`."""
     beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    taus = _dataset_taus(dataset, beta) if taus is None else taus
+    taus = _dataset_taus(dataset, beta, start) if taus is None else taus
     value = score = hess = 0.0
     for block in dataset.blocks:
         eta = block.X @ beta
@@ -127,10 +134,13 @@ def _loglik_eval(dataset: Dataset, beta, order: int, normalizer, R: int = 1,
     return (value / scale, score / scale, hess / scale)[:order + 1] + (taus,)
 
 
-def _olr_eval(dataset: Dataset, beta, order: int, cluster_effects=None):
+def _olr_eval(dataset: Dataset, beta, order: int, cluster_effects=None,
+              start=None):
     """`_loglik_eval` of the ordinary likelihood at `cluster_effects`, else
-    at the profile roots, which the profile score and Hessian need."""
-    return _loglik_eval(dataset, beta, order, _limit_batch, 1, cluster_effects)
+    at the profile roots, which the profile score and Hessian need, solved
+    from the roots `start`."""
+    return _loglik_eval(dataset, beta, order, _limit_batch, 1, cluster_effects,
+                        start=start)
 
 
 def olr_avg_loglik(dataset: Dataset, beta, cluster_effects) -> float:

@@ -11,6 +11,11 @@ the J*K x2 normals (row-major), the J cluster-effect normals, and the J*K
 outcome uniforms (row-major).  Results therefore never depend on worker
 count or scheduling; tolerances for cross-implementation comparison are
 statistical, not bitwise.
+
+Each replicate fits the MLE, then CMLE(R) along the ascending r_values.
+CMLE(R) - MLE shrinks as 1/R, so every CMLE(R) after the first starts where
+that rate puts it, from the estimate at the R before it; the first starts
+at zero.  Each start is a function of the replicate's own fits alone.
 """
 
 from __future__ import annotations
@@ -128,14 +133,19 @@ def generate_dataset(cfg: SimConfig, replicate_index: int) -> Dataset:
 
 def _fit_replicate(cfg: SimConfig, index: int):
     """One replicate's (1 + len(r_values), 2) estimates, the MLE's then each
-    CMLE(R)'s, and its dropped concordant count; None if any fit fails."""
+    CMLE(R)'s, and its dropped concordant count; None if any fit fails.
+
+    The MLE is fitted first.  The first CMLE(R) starts at zero; every later
+    one at mle + (prev - mle) * R_prev / R, prev being the estimate at the
+    R_prev before it, since CMLE(R) - MLE shrinks as 1/R."""
     try:
         dataset = generate_dataset(cfg, index)
-        fits = [solve_mle(dataset).beta_hat]
-        warm = None
-        for R in cfg.r_values:
-            warm = solve_cmle_replicated(dataset, R, x0=warm).beta_hat
-            fits.append(warm)
+        mle = solve_mle(dataset).beta_hat
+        fits = [mle]
+        for R_prev, R in zip((None,) + cfg.r_values, cfg.r_values):
+            x0 = (None if R_prev is None
+                  else mle + (fits[-1] - mle) * (R_prev / R))
+            fits.append(solve_cmle_replicated(dataset, R, x0=x0).beta_hat)
         return np.stack(fits), dataset.dropped_concordant
     except (SolverError, DataError):
         return None

@@ -7,6 +7,10 @@ evaluated once, for value, score, Hessian and profile roots together; the
 accepted point's score and Hessian give the next Newton step, and the
 maximizer's roots the fit's `tau`.  If the Newton direction fails to be an
 ascent direction the step falls back to the gradient.
+
+Roots carry from one evaluation to the next: each root solve starts from
+the roots of the previous trial point, which lie close to the new ones
+once the steps shrink, rather than from the centre of its bracket.
 """
 
 from __future__ import annotations
@@ -127,9 +131,19 @@ def _maximize(evaluate, p: int, cfg: SolverConfig,
 
 def _fit(dataset: Dataset, method: str, evaluate, cfg: SolverConfig | None,
          x0) -> FitResult:
+    """Maximize evaluate(beta, start), which returns (value, score, Hessian,
+    roots) with its roots solved from `start`: the previous evaluation's."""
     _check_column_rank(dataset)
+    roots = None
+
+    def evaluate_warm(beta):
+        nonlocal roots
+        state = evaluate(beta, roots)
+        roots = state[-1]
+        return state
+
     beta, (f, g, _, tau), its, trace = _maximize(
-        evaluate, dataset.n_covariates, cfg or SolverConfig(), x0)
+        evaluate_warm, dataset.n_covariates, cfg or SolverConfig(), x0)
     return FitResult(beta_hat=beta, objective=f,
                      grad_inf_norm=float(np.abs(g).max()), iterations=its,
                      method=method, tau=tau, objective_trace=trace,
@@ -139,15 +153,17 @@ def _fit(dataset: Dataset, method: str, evaluate, cfg: SolverConfig | None,
 def solve_mle(dataset: Dataset, cfg: SolverConfig | None = None,
               x0=None) -> FitResult:
     """Maximize the profile log-likelihood (ordinary logistic MLE for beta)."""
-    return _fit(dataset, "MLE", lambda b: profile._olr_eval(dataset, b, 2),
-                cfg, x0)
+    return _fit(dataset, "MLE",
+                lambda b, start: profile._olr_eval(dataset, b, 2,
+                                                   start=start), cfg, x0)
 
 
 def solve_cmle(dataset: Dataset, cfg: SolverConfig | None = None,
                x0=None) -> FitResult:
     """Maximize the exact conditional log-likelihood."""
     return _fit(dataset, "CMLE",
-                lambda b: conditional._clr_eval(dataset, 1, b, 2), cfg, x0)
+                lambda b, start: conditional._clr_eval(dataset, 1, b, 2,
+                                                       start=start), cfg, x0)
 
 
 def solve_cmle_replicated(dataset: Dataset, R: int,
@@ -155,13 +171,17 @@ def solve_cmle_replicated(dataset: Dataset, R: int,
                           x0=None) -> FitResult:
     """Maximize the R-replication conditional log-likelihood.
 
-    Pass the previous (smaller-R) estimate as x0 to warm start; R grids are
-    typically solved in ascending order.
+    Along an ascending R grid, start each fit from the 1/R-extrapolated
+    estimate x0 = mle + (prev - mle) * R_prev / R, where prev is the
+    estimate at R_prev and mle the MLE's: CMLE-R tends to the MLE at rate
+    1/R (the saddle-point limit of the normalizer), so this lands nearer
+    the new estimate than prev itself does.
     """
     if R < 1:
         raise DataError("replication count R must be >= 1")
     return _fit(dataset, f"CMLE-R(R={R})",
-                lambda b: conditional._clr_eval(dataset, R, b, 2), cfg, x0)
+                lambda b, start: conditional._clr_eval(dataset, R, b, 2,
+                                                       start=start), cfg, x0)
 
 
 def verify_pair_identity(dataset: Dataset,

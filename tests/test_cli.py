@@ -181,6 +181,14 @@ class TestSimulate:
         assert rc == EXIT_INPUT
         assert str(out.parent) in capsys.readouterr().err
 
+    def test_directory_out_rejected_before_study(self, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.setattr(cli, "run_study", None)  # never reached
+        rc = main(["simulate", "--n-sims", "1", "--out", str(tmp_path)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: --out: {tmp_path} is a directory")
+
     def test_defaults_are_sim_config_defaults(self, tmp_path, monkeypatch):
         configs = []
 

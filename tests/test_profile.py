@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import expit
@@ -120,6 +120,43 @@ def test_tau_batch_residual_evaluations(expit_calls):
         assert abs(expit(eta[0] + tau).sum() - T) <= 1e-12
         worst = max(worst, expit_calls[0])
     assert worst <= 10
+
+
+@st.composite
+def warm_cases(draw):
+    """(eta, T, start) with K <= 8, predictors in +-50 and starts inside,
+    outside and at both ends of the root's bracket."""
+    K = draw(st.integers(2, 8))
+    T = draw(st.integers(1, K - 1))
+    eta = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=K,
+                                 max_size=K)))
+    center = np.log(T / (K - T))
+    amp = np.abs(eta).max()
+    start = draw(st.one_of(
+        st.sampled_from([-1e6, 1e6, center - amp, center + amp]),
+        st.floats(center - amp, center + amp),
+        st.floats(-1e6, 1e6)))
+    return eta, T, start
+
+
+@settings(deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(warm_cases())
+def test_tau_batch_warm_start(expit_calls, case):
+    eta, T, start = case
+    cold = profile._tau_batch(eta[None, :], np.array([T]))
+    tau = profile._tau_batch(eta[None, :], np.array([T]), np.array([start]))
+    assert abs(expit(eta + tau[0]).sum() - T) <= 1e-12
+    # a start outside the bracket begins at the bracket's nearer end
+    center = np.log(T / (len(eta) - T))
+    amp = np.abs(eta).max()
+    clipped = min(max(start, center - amp), center + amp)
+    assert tau == profile._tau_batch(eta[None, :], np.array([T]),
+                                     np.array([clipped]))
+    # started at its own root, a solve only checks the residual
+    expit_calls[0] = 0
+    assert profile._tau_batch(eta[None, :], np.array([T]), cold) == cold
+    assert expit_calls[0] == 1
 
 
 def test_tau_batch_stops_at_rounding_floor(expit_calls):

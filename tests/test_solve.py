@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from clogitrep import conditional, profile
 from clogitrep.conditional import clr_rep_score, clr_score
@@ -100,9 +101,9 @@ def test_one_derivative_call_per_iterate(monkeypatch, module, name, solver):
     original = getattr(module, name)
     signature = inspect.signature(original)
 
-    def counted(*args):
-        calls.append(signature.bind(*args).arguments["order"])
-        return original(*args)
+    def counted(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments["order"])
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     fit = solver(random_matched_pairs(41, n_pairs=30))
@@ -112,20 +113,26 @@ def test_one_derivative_call_per_iterate(monkeypatch, module, name, solver):
 
 @pytest.mark.parametrize("module, name, solver", SOLVERS)
 def test_fit_reuses_roots_of_accepted_point(monkeypatch, module, name, solver):
-    # one root pass per objective call: FitResult.tau comes from the last
-    # one rather than from a pass of its own at beta_hat
-    dataset_taus = profile._dataset_taus
+    # one root pass per objective call: FitResult.tau is the array the last
+    # one returned rather than that of a pass of its own at beta_hat, and
+    # solves the root equation there
     counts = {name: 0, "_dataset_taus": 0}
+    returned = {}
     for owner, attr in ((module, name), (profile, "_dataset_taus")):
-        def counted(*args, _attr=attr, _original=getattr(owner, attr)):
+        def counted(*args, _attr=attr, _original=getattr(owner, attr),
+                    **kwargs):
             counts[_attr] += 1
-            return _original(*args)
+            returned[_attr] = _original(*args, **kwargs)
+            return returned[_attr]
 
         monkeypatch.setattr(owner, attr, counted)
     ds = random_five_sets(41)
     fit = solver(ds)
     assert counts["_dataset_taus"] == counts[name] == fit.iterations + 1
-    np.testing.assert_array_equal(fit.tau, dataset_taus(ds, fit.beta_hat))
+    assert fit.tau is returned["_dataset_taus"]
+    for block in ds.blocks:
+        p = expit(block.X @ fit.beta_hat + fit.tau[block.index][:, None])
+        assert np.abs(p.sum(axis=1) - block.T).max() <= 1e-12
 
 
 @pytest.mark.parametrize("R", [None, 1, 10, 100])
