@@ -86,6 +86,20 @@ def _nodes(R: int, K: int) -> int:
                                                       + L * R * K / 2)))
 
 
+def _integer(value, name: str = "replication count R", least=1) -> int:
+    """`value` as an int, if it is an integral value (2, np.int64(2) and 2.0
+    all are) of at least `least`, None meaning no bound; DataError naming
+    the value otherwise.  The kernel is exact only for an integer R."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value or (least is not None and n < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DataError(f"{name} must be an integer{bound}, got {value}")
+    return n
+
+
 @dataclass(frozen=True)
 class LogNormalizer:
     """Log normalizer value and its gradient in the linear predictors."""
@@ -177,9 +191,7 @@ def log_g(eta, R: int, T: int) -> LogNormalizer:
     is 1 given the total.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    R, T, K = int(R), int(T), eta.shape[0]
-    if R < 1:
-        raise DataError("replication count R must be >= 1")
+    R, T, K = _integer(R), _integer(T, "outcome sum T", None), eta.shape[0]
     if not 0 <= T <= K:
         raise DataError(f"outcome sum {T} outside [0, {K}]")
     if T == 0:
@@ -199,8 +211,7 @@ def _clr_eval(dataset: Dataset, R: int, beta, order: int, start=None):
     """Average R-replicated conditional log-likelihood, its derivatives and
     the profile roots, solved from the roots `start`, assembled by
     `profile._loglik_eval` with A = log g."""
-    if R < 1:
-        raise DataError("replication count R must be >= 1")
+    R = _integer(R)
     return profile._loglik_eval(
         dataset, beta, order,
         lambda eta, T, tau, order: _log_g_batch(eta, R, T, order, tau), R,

@@ -9,14 +9,14 @@ individual in numpy and stacks one SizeBlock per cluster size, a Dataset's
 only storage; `_checked_rows` alone holds the rules for a valid row.
 `read_csv` streams a file into it in one csv pass, parsing _CHUNK_ROWS rows
 at a time, and re-reads the file row by row only to name the line of a bad
-row; `screen_dataset` concatenates Clusters into it.
+row; `screen_dataset` concatenates an iterable of Cluster into it.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,11 +106,10 @@ class Dataset:
     and hashed by identity, as is each SizeBlock."""
 
     blocks: tuple[SizeBlock, ...]
-    dropped_concordant: int = 0
+    dropped_concordant: int
 
     @classmethod
-    def from_arrays(cls, cluster_index, y, X,
-                    dropped_concordant: int = 0) -> Dataset:
+    def from_arrays(cls, cluster_index, y, X) -> Dataset:
         """Validate n rows, drop the concordant clusters and pack the rest.
 
         Row i has cluster label cluster_index[i], outcome y[i] in {0, 1} and
@@ -141,8 +140,7 @@ class Dataset:
             take = start[index][:, None] + np.arange(K)
             yb = y[take]
             blocks.append(SizeBlock(index, X[take], yb, yb.sum(axis=1)))
-        return cls(tuple(blocks),
-                   dropped_concordant + int(keep.size - keep.sum()))
+        return cls(tuple(blocks), int(keep.size - keep.sum()))
 
     @property
     def n_clusters(self) -> int:
@@ -168,30 +166,20 @@ class FitResult:
     method: str
     # the profile roots at beta_hat, one per cluster, from the last evaluation
     tau: np.ndarray | None = None
-    objective_trace: list[float] = field(default_factory=list)
     dropped_concordant: int = 0
 
 
-def screen_dataset(clusters, dropped_concordant: int = 0) -> Dataset:
-    """Drop concordant clusters and build a Dataset over the remainder.
-
-    Accepts an iterable of Cluster or (covariates, outcomes) pairs, or an
-    existing Dataset, which is re-screened as a no-op.  Raises DataError if
-    nothing survives.
-    """
-    if isinstance(clusters, Dataset):
-        return replace(clusters, dropped_concordant=dropped_concordant
-                       + clusters.dropped_concordant)
-    source = [c if isinstance(c, Cluster) else Cluster(c[0], c[1])
-              for c in clusters]
+def screen_dataset(clusters) -> Dataset:
+    """Drop the concordant ones of an iterable of Cluster and build a
+    Dataset over the rest.  Raises DataError if nothing survives."""
+    source = list(clusters)
     if len({c.n_covariates for c in source}) > 1:
         raise DataError("all clusters must have the same covariate width")
     # an empty source leaves from_arrays no discordant cluster
     return Dataset.from_arrays(
         np.repeat(np.arange(len(source)), [c.size for c in source]),
         np.concatenate([c.outcomes for c in source] or [np.zeros(0)]),
-        np.concatenate([c.covariates for c in source] or [np.zeros((0, 1))]),
-        dropped_concordant)
+        np.concatenate([c.covariates for c in source] or [np.zeros((0, 1))]))
 
 
 def _blank(row) -> bool:

@@ -100,7 +100,7 @@ def _u_rows(eta: np.ndarray, T: np.ndarray, tau: np.ndarray,
 def u_of_theta(eta, T: int, theta: float) -> complex:
     """Complex rate function on the saddle contour rho = exp(-tau)."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))[None, :]
-    T = np.array([int(T)])
+    T = np.array([conditional._integer(T, "outcome sum T", None)])
     return complex(_u_rows(eta, T, _taus(eta, T), np.array([theta]))[0, 0])
 
 
@@ -151,18 +151,18 @@ def _contour_block(eta: np.ndarray, T: np.ndarray, tau: np.ndarray,
     return np.array(r_values) * u0[:, None] + np.log(fine.real)
 
 
-def contour_integral_g(eta, T: int, R: int, nodes: int = _NODES) -> float:
+def contour_integral_g(eta, T: int, R: int) -> float:
     """log g via the saddle-normalized contour integral.
 
     Returns R*u(0) + log of the periodic-trapezoid integral of
-    exp(R (u(theta) - u(0))) over [-pi, pi); raises QuadratureError when
-    doubling the node count moves the answer by more than 1e-10.
+    exp(R (u(theta) - u(0))) over [-pi, pi) on 2 * _NODES nodes; raises
+    QuadratureError when that differs from the _NODES-node value by more
+    than 1e-10, and DataError unless R is an integer >= 1 and T an integer.
     """
-    if nodes < 256:
-        raise ValueError("nodes must be >= 256")
     eta = np.atleast_1d(np.asarray(eta, dtype=float))[None, :]
-    T = np.array([int(T)])
-    return float(_contour_block(eta, T, _taus(eta, T), [int(R)], nodes)[0, 0])
+    T = np.array([conditional._integer(T, "outcome sum T", None)])
+    return float(_contour_block(eta, T, _taus(eta, T),
+                                [conditional._integer(R)], _NODES)[0, 0])
 
 
 def rate_limit_block(eta, T, r_grid, quadrature_max_r: int = 0,
@@ -174,10 +174,11 @@ def rate_limit_block(eta, T, r_grid, quadrature_max_r: int = 0,
     """
     eta = np.asarray(eta, dtype=float)
     T = np.asarray(T).astype(int)
-    r_grid = [int(r) for r in r_grid]
+    r_grid = list(r_grid)
     if (any(r < 1 for r in r_grid)
             or any(a >= b for a, b in zip(r_grid, r_grid[1:]))):
         raise ValueError("r_grid must be strictly ascending with entries >= 1")
+    r_grid = [conditional._integer(r) for r in r_grid]
     tau = _taus(eta, T, ids)
     u0, p = profile._limit_batch(eta, T, tau, 1)
     up0 = np.abs(T - p.sum(axis=1))  # |u'(0)|, the root's residual
@@ -211,5 +212,6 @@ def rate_limit_check(eta, T: int, r_grid,
     R <= quadrature_max_r, reporting relative errors.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    return rate_limit_block(eta[None, :], [int(T)], r_grid,
+    T = conditional._integer(T, "outcome sum T", None)
+    return rate_limit_block(eta[None, :], [T], r_grid,
                             quadrature_max_r)[0]

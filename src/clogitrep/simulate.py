@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
+from . import conditional
 from .data import DataError, Dataset
 from .solve import SolverError, solve_cmle_replicated, solve_mle
 
@@ -58,10 +58,10 @@ class SimConfig:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        rv = tuple(int(r) for r in self.r_values)
-        if not rv or rv[0] < 1 or any(a >= b for a, b in zip(rv, rv[1:])):
-            raise ValueError("r_values must be strictly ascending with "
-                             "entries >= 1")
+        rv = tuple(conditional._integer(r) for r in self.r_values)
+        if not rv or any(a >= b for a, b in zip(rv, rv[1:])):
+            raise ValueError("r_values must be non-empty and strictly "
+                             "ascending")
         bt = tuple(float(b) for b in self.beta_true)
         if len(bt) != 2 or not np.isfinite(bt).all():
             raise ValueError("beta_true must be two finite reals")
@@ -97,20 +97,6 @@ class SimulationSummary:
                 w.writerow([r.method, "" if r.R is None else r.R,
                             repr(float(r.mean[0])), repr(float(r.mean[1])),
                             var[0], var[1], r.n_used, r.n_failed])
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "n_sims": self.n_sims,
-            "mean_dropped_concordant": self.mean_dropped_concordant,
-            "rows": [{
-                "method": r.method, "R": r.R,
-                "mean": [float(v) for v in r.mean],
-                "variance": (None if r.n_used < 2
-                             else [float(v) for v in r.variance]),
-                "n_used": r.n_used, "n_failed": r.n_failed,
-            } for r in self.rows],
-        }, indent=2, sort_keys=True)
 
 
 def generate_dataset(cfg: SimConfig, replicate_index: int) -> Dataset:

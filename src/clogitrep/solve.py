@@ -15,6 +15,7 @@ once the steps shrink, rather than from the centre of its bracket.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,12 +70,15 @@ class RelationReport:
     inputs: dict = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=1)
 def _check_column_rank(dataset: Dataset) -> None:
     """Identifiability precheck: [X | cluster indicators] has full column rank.
 
     Equivalent to the within-cluster-centered covariate matrix having full
     column rank (X a + E b = 0 forces a into the centered null space), which
-    avoids materializing the N x (P + J) matrix.
+    avoids materializing the N x (P + J) matrix.  A dataset that passes is
+    not checked again by the next fit of it (a Dataset hashes by identity);
+    one that fails raises every time, as exceptions are not cached.
     """
     P = dataset.n_covariates
     centered = np.vstack([
@@ -86,21 +90,20 @@ def _check_column_rank(dataset: Dataset) -> None:
 
 
 def _maximize(evaluate, p: int, cfg: SolverConfig,
-              x0=None) -> tuple[np.ndarray, tuple, int, list[float]]:
+              x0=None) -> tuple[np.ndarray, tuple, int]:
     """Damped Newton ascent on a concave objective.
 
     evaluate(x) returns (value, score, Hessian, ...) and is called once per
     trial point of the line search, the starting point included.  Returns
-    (maximizer, its evaluation whole, iterations, objective trace).
+    (maximizer, its evaluation whole, iterations).
     """
     x = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
     state = evaluate(x)
-    trace = [state[0]]
     for it in range(cfg.max_iter + 1):
         f, g, H = state[:3]
         gnorm = float(np.abs(g).max())
         if gnorm <= cfg.grad_tol:
-            return x, state, it, trace
+            return x, state, it
         if it == cfg.max_iter:
             raise SolverError("max iterations exceeded")
         try:
@@ -123,7 +126,6 @@ def _maximize(evaluate, p: int, cfg: SolverConfig,
                                   "search direction increased the objective "
                                   f"(|g|inf = {gnorm:.3g})")
         x, state = x_new, state_new
-        trace.append(state[0])
         if np.abs(x).max() > cfg.divergence_norm:
             raise SolverError("divergence: possible separation / "
                               "nonexistent MLE")
@@ -142,11 +144,11 @@ def _fit(dataset: Dataset, method: str, evaluate, cfg: SolverConfig | None,
         roots = state[-1]
         return state
 
-    beta, (f, g, _, tau), its, trace = _maximize(
+    beta, (f, g, _, tau), its = _maximize(
         evaluate_warm, dataset.n_covariates, cfg or SolverConfig(), x0)
     return FitResult(beta_hat=beta, objective=f,
                      grad_inf_norm=float(np.abs(g).max()), iterations=its,
-                     method=method, tau=tau, objective_trace=trace,
+                     method=method, tau=tau,
                      dropped_concordant=dataset.dropped_concordant)
 
 
@@ -177,8 +179,6 @@ def solve_cmle_replicated(dataset: Dataset, R: int,
     1/R (the saddle-point limit of the normalizer), so this lands nearer
     the new estimate than prev itself does.
     """
-    if R < 1:
-        raise DataError("replication count R must be >= 1")
     return _fit(dataset, f"CMLE-R(R={R})",
                 lambda b, start: conditional._clr_eval(dataset, R, b, 2,
                                                        start=start), cfg, x0)

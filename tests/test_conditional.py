@@ -12,6 +12,9 @@ from clogitrep.conditional import (clr_avg_loglik, clr_rep_avg_loglik,
                                    clr_rep_score, clr_score, log_g)
 from clogitrep.data import Cluster, DataError, screen_dataset
 from clogitrep.profile import profile_loglik
+from clogitrep.saddle import contour_integral_g, rate_limit_check, u_of_theta
+from clogitrep.simulate import SimConfig
+from clogitrep.solve import solve_cmle_replicated
 from conftest import random_cluster_eta, random_matched_pairs
 from dp_oracle import log_g_dp
 from packing_oracle import unpack
@@ -431,3 +434,51 @@ class TestReplicatedLoglik:
                 clr_rep_avg_loglik(ds, R, beta), abs=1e-12)
             np.testing.assert_allclose(clr_rep_score(shifted, R, beta),
                                        clr_rep_score(ds, R, beta), atol=1e-10)
+
+
+# every entry point that takes a replication count R, called at R
+_ETA = np.array([0.3, -0.2, 0.1])
+R_ENTRY_POINTS = {
+    "log_g": lambda R: log_g(_ETA, R, 1),
+    "clr_rep_avg_loglik": lambda R: clr_rep_avg_loglik(
+        random_matched_pairs(3, n_pairs=6), R, np.zeros(2)),
+    "solve_cmle_replicated": lambda R: solve_cmle_replicated(
+        random_matched_pairs(3, n_pairs=6), R),
+    "contour_integral_g": lambda R: contour_integral_g(_ETA, 1, R),
+    "rate_limit_check": lambda R: rate_limit_check(_ETA, 1, [R, 100]),
+    "SimConfig": lambda R: SimConfig(r_values=(R, 100)),
+}
+
+
+@pytest.mark.parametrize("entry", R_ENTRY_POINTS)
+def test_replication_count_must_be_integer_at_least_one(entry):
+    # the kernel is exact only for integer R: 2.5 is refused, not truncated
+    # to 2 or run as a fractional power
+    with pytest.raises(DataError, match="must be an integer >= 1, got 2.5"):
+        R_ENTRY_POINTS[entry](2.5)
+    with pytest.raises(ValueError, match="integer >= 1, got 0|entries >= 1"):
+        R_ENTRY_POINTS[entry](0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda T: log_g(_ETA, 1, T),
+    lambda T: contour_integral_g(_ETA, T, 1),
+    lambda T: rate_limit_check(_ETA, T, [1]),
+    lambda T: u_of_theta(_ETA, T, 0.0),
+], ids=["log_g", "contour_integral_g", "rate_limit_check", "u_of_theta"])
+def test_outcome_sum_must_be_integer(call):
+    with pytest.raises(DataError, match="outcome sum T must be an integer, "
+                                        "got 1.5"):
+        call(1.5)
+
+
+def test_integral_values_of_any_type_accepted():
+    ds = random_matched_pairs(3, n_pairs=6)
+    beta = np.array([0.2, -0.1])
+    for R in (np.int64(2), 2.0, np.float64(2.0)):
+        assert log_g(_ETA, R, np.int64(1)).value == log_g(_ETA, 2, 1).value
+        assert (clr_rep_avg_loglik(ds, R, beta)
+                == clr_rep_avg_loglik(ds, 2, beta))
+        assert contour_integral_g(_ETA, 1.0, R) == contour_integral_g(_ETA,
+                                                                      1, 2)
+    assert SimConfig(r_values=(1.0, np.int64(2))).r_values == (1, 2)

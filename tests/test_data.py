@@ -252,13 +252,6 @@ class TestPackingOracle:
             assert_packed_like(generate_dataset(cfg, index),
                                simulated_clusters(cfg, index))
 
-    def test_screen_dataset_of_pairs_and_dataset(self):
-        clusters = [make_cluster([1, 0, 0]), make_cluster([1, 1]),
-                    make_cluster([0, 1])]
-        ds = screen_dataset([(c.covariates, c.outcomes) for c in clusters], 2)
-        assert_packed_like(ds, clusters, 2)
-        assert_packed_like(screen_dataset(ds, 1), clusters, 3)
-
     @settings(deadline=None, max_examples=60)
     @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=6),
                     min_size=1, max_size=12),

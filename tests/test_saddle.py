@@ -114,7 +114,3 @@ class TestContourIntegral:
         thetas = np.linspace(-math.pi, math.pi, 301)
         mods = [u_of_theta(eta, T, t).real for t in thetas]
         assert max(mods) <= u0 + 1e-12
-
-    def test_node_floor(self):
-        with pytest.raises(ValueError):
-            contour_integral_g(np.zeros(2), 1, 1, nodes=16)

@@ -112,13 +112,6 @@ class TestRunStudy:
         line = path.read_text().splitlines()[1]
         assert ",NA,NA," in line
 
-    def test_json_round_trip(self):
-        import json
-        cfg = SimConfig(J=30, n_sims=2, r_values=(1,), seed=8)
-        payload = json.loads(run_study(cfg).to_json())
-        assert payload["seed"] == 8
-        assert len(payload["rows"]) == 2
-
 
 def test_chain_starts_extrapolate_in_one_over_r(monkeypatch):
     # against a chain that starts each R at the previous estimate: the same
