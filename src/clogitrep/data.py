@@ -171,8 +171,14 @@ class FitResult:
 
 def screen_dataset(clusters) -> Dataset:
     """Drop the concordant ones of an iterable of Cluster and build a
-    Dataset over the rest.  Raises DataError if nothing survives."""
+    Dataset over the rest.  Raises DataError, naming the position of the
+    first item that is not a Cluster, or if nothing survives."""
     source = list(clusters)
+    bad = next((i for i, c in enumerate(source)
+                if not isinstance(c, Cluster)), None)
+    if bad is not None:
+        raise DataError(f"item {bad} is not a Cluster, got "
+                        f"{type(source[bad]).__name__}")
     if len({c.n_covariates for c in source}) > 1:
         raise DataError("all clusters must have the same covariate width")
     # an empty source leaves from_arrays no discordant cluster

@@ -9,8 +9,9 @@ rate (1/R) log g then converges to the real constant u(0).
 `conditional.log_g` evaluates this integral with the trapezoid rule on
 M(R, K) = O(sqrt(RK)) nodes, whose alias error is at most e^-40 relative
 (see `conditional`).  The contour quadrature here is an independent
-reference for it: an oversampled trapezoid rule, one complex log per
-factor, that checks itself by doubling its nodes.
+reference for it: an oversampled trapezoid rule, one principal log per
+factor, modulus and argument apart, that checks itself by doubling its
+nodes.
 
 The diagnostics run over a whole block of same-size clusters at once
 (`rate_limit_block`): one tau solve for the block, one kernel call per R
@@ -42,7 +43,7 @@ __all__ = [
 
 # Contour nodes before doubling
 _NODES = 512
-# Complex elements in one (rows, 2 * nodes, K) contour temporary; the
+# Complex elements in one (rows, K, 2 * nodes) contour temporary; the
 # contour pass is split by rows to stay within it
 _CONTOUR_BUDGET = 2**14
 
@@ -89,12 +90,19 @@ def _taus(eta: np.ndarray, T: np.ndarray, ids=None) -> np.ndarray:
 
 def _u_rows(eta: np.ndarray, T: np.ndarray, tau: np.ndarray,
             theta: np.ndarray) -> np.ndarray:
-    """u(theta) on each row's saddle circle, (n, len(theta))."""
+    """u(theta) on each row's saddle circle, (n, len(theta)).
+
+    One principal log per factor z = e^(i theta) + e^(eta_k + tau), taken
+    as log|z| + i arg z in real arithmetic; factors are laid out
+    (n, K, len(theta)), so the sums over k add contiguous theta vectors.
+    """
     K = eta.shape[1]
-    z = (np.exp(1j * theta)[None, :, None]
-         + np.exp(eta + tau[:, None])[:, None, :])
-    return ((-tau * T)[:, None] - 1j * (K - T)[:, None] * theta[None, :]
-            + np.log(z, out=z).sum(axis=2))
+    z = np.exp(1j * theta) + np.exp(eta + tau[:, None])[:, :, None]
+    u = np.empty((len(eta), len(theta)), dtype=complex)
+    u.real = np.log(np.abs(z)).sum(axis=1) - (tau * T)[:, None]
+    u.imag = (np.arctan2(z.imag, z.real).sum(axis=1)
+              - (K - T)[:, None] * theta)
+    return u
 
 
 def u_of_theta(eta, T: int, theta: float) -> complex:

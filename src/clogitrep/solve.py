@@ -179,6 +179,7 @@ def solve_cmle_replicated(dataset: Dataset, R: int,
     1/R (the saddle-point limit of the normalizer), so this lands nearer
     the new estimate than prev itself does.
     """
+    R = conditional._integer(R)
     return _fit(dataset, f"CMLE-R(R={R})",
                 lambda b, start: conditional._clr_eval(dataset, R, b, 2,
                                                        start=start), cfg, x0)

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gammaln
 
 from clogitrep import conditional, profile
+from clogitrep import saddle
 from clogitrep.conditional import (clr_avg_loglik, clr_rep_avg_loglik,
                                    clr_rep_score, clr_score, log_g)
 from clogitrep.data import Cluster, DataError, screen_dataset
@@ -16,6 +17,7 @@ from clogitrep.saddle import contour_integral_g, rate_limit_check, u_of_theta
 from clogitrep.simulate import SimConfig
 from clogitrep.solve import solve_cmle_replicated
 from conftest import random_cluster_eta, random_matched_pairs
+import complex_log_oracle
 from dp_oracle import log_g_dp
 from packing_oracle import unpack
 
@@ -195,6 +197,79 @@ class TestKernelVsDP:
         ds = screen_dataset([Cluster(X, np.array([1, 0])) for _ in range(5)])
         assert np.isfinite(clr_rep_avg_loglik(ds, R, [beta]))
         assert np.all(np.isfinite(clr_rep_score(ds, R, [beta])))
+
+
+class TestChunkBoundaries:
+    """Products of more factors than one chunk of _PROD_CHUNK = 512, padded
+    with unit factors to whole chunks: one factor past a chunk (513), one
+    past two (1025) and a partial last chunk (1100)."""
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("K", [513, 1025, 1100])
+    def test_closed_form_at_zero_eta(self, K, R):
+        # at eta = 0, g = C(RK, RT), and the tilted measure is the
+        # multivariate hypergeometric draw of RT from K groups of R: each
+        # E[r_k] = RT/K, Var r_k = c (K - 1) and Cov(r_j, r_k) = -c, with
+        # c = RT (RK - RT) / (K^2 (RK - 1)).  At T = K/2 the products of
+        # the nodes near theta = pi underflow
+        assert conditional._PROD_CHUNK == 512
+        T = np.array([1, 3, K // 2])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            value, grad, hess = conditional._log_g_batch(np.zeros((3, K)), R,
+                                                         T, 2)
+        want = np.array([log_comb(R * K, R * t) for t in T])
+        assert np.all(np.abs(value - want)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        np.testing.assert_allclose(grad, np.broadcast_to((R * T / K)[:, None],
+                                                         grad.shape),
+                                   rtol=0, atol=1e-12 * R)
+        c = R * T * (R * K - R * T) / (K * K * (R * K - 1))
+        cov = -c[:, None, None] * np.ones((K, K))
+        cov[:, np.arange(K), np.arange(K)] += K * c[:, None]
+        np.testing.assert_allclose(hess, cov, rtol=0, atol=1e-12 * R * R)
+        np.testing.assert_allclose(hess.sum(axis=2), 0.0, rtol=0,
+                                   atol=1e-10 * R * R)
+
+    @pytest.mark.parametrize("T", [1, 3])
+    @pytest.mark.parametrize("R", [1, 2])
+    def test_matches_dp(self, R, T):
+        eta = np.random.default_rng(10 * R + T).normal(size=(1, 1100))
+        want_value, want_grad = log_g_dp(eta, R, T)
+        value, grad = conditional._log_g_batch(eta, R, T, 1)
+        assert abs(value[0] - want_value[0]) <= 1e-12 * max(
+            1.0, abs(want_value[0]))
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-10 * R)
+
+
+class TestRealArithmeticLog:
+    """The principal logs taken as log|z| + i arctan2(Im z, Re z) against
+    numpy's complex log (`complex_log_oracle`), with eta + tau out to
+    +-700, near the ends of exp's double range."""
+
+    # eta + tau = eta at tau = 0, the profile root of this row at T = 3
+    S = np.array([[-700.0, -30.0, 0.0, 0.0, 30.0, 700.0]])
+    THETA = np.concatenate([[-np.pi, -np.pi / 2, 0.0, np.pi / 2, np.pi],
+                            np.linspace(-np.pi, np.pi, 37)[1:-1] + 0.01])
+
+    @pytest.mark.parametrize("T", [1, 3, 5])
+    def test_u_rows(self, T):
+        T = np.array([T])
+        tau = np.zeros(1)
+        got = saddle._u_rows(self.S, T, tau, self.THETA)
+        want = complex_log_oracle.u_rows(self.S, T, tau, self.THETA)
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("R", [1, 3, 10])
+    def test_log_g_on_full_grid(self, R, monkeypatch):
+        assert abs(profile._tau_batch(self.S, np.array([3]))[0]) < 1e-12
+        monkeypatch.setattr(conditional, "_nodes", lambda R, K: R * K + 1)
+        got = conditional._log_g_batch(self.S, R, 3, 0, np.zeros(1))[0]
+        want = complex_log_oracle.log_g_trapezoid(self.S, R, 3, np.zeros(1),
+                                                  R * self.S.shape[1] + 1)
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 class TestReducedGrid:
@@ -482,3 +557,11 @@ def test_integral_values_of_any_type_accepted():
         assert contour_integral_g(_ETA, 1.0, R) == contour_integral_g(_ETA,
                                                                       1, 2)
     assert SimConfig(r_values=(1.0, np.int64(2))).r_values == (1, 2)
+
+
+@pytest.mark.parametrize("R", [2.0, np.int64(2)])
+def test_replicated_fit_labelled_with_integer_r(R):
+    ds = random_matched_pairs(3, n_pairs=6)
+    fit = solve_cmle_replicated(ds, R)
+    assert fit.method == "CMLE-R(R=2)"
+    assert np.array_equal(fit.beta_hat, solve_cmle_replicated(ds, 2).beta_hat)

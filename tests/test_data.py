@@ -54,6 +54,12 @@ class TestScreening:
         assert ds.n_clusters == 2
         assert ds.dropped_concordant == 0
 
+    def test_non_cluster_item_named(self):
+        # the (covariates, outcomes) pair is not a Cluster
+        with pytest.raises(DataError, match="item 1 is not a Cluster"):
+            screen_dataset([make_cluster([1, 0]),
+                            (np.eye(2), np.array([1, 0]))])
+
     def test_all_concordant_errors(self):
         with pytest.raises(DataError, match="no discordant clusters"):
             screen_dataset([make_cluster([0, 0]), make_cluster([1, 1])])
